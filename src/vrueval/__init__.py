@@ -28,7 +28,7 @@ from .dataset import DatasetManifest, DatasetStats, convert_dataset, dataset_sta
 from .errors import ContractError, ConversionError, ParseError, SchemaError, VruEvalError
 from .evaluate import ClassEval, EvalReport, evaluate
 from .geometry import BoundingBox, ImageDims, NormalizedBox, from_normalized, iou, to_normalized
-from .matching import MatchOutcome, match_class_image
+from .matching import MatchOutcome
 from .metrics import (
     ConfusionCounts,
     PRCurve,
@@ -78,7 +78,6 @@ __all__ = [
     "from_normalized",
     "iou",
     "load_manifest",
-    "match_class_image",
     "mean_ap",
     "parse_detections",
     "parse_visdrone_line",

@@ -250,9 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -23,7 +23,6 @@ identity map) reproduces identical bytes.
 from __future__ import annotations
 
 import json
-import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -273,10 +272,11 @@ def convert_dataset(
             # carry existing sidecars through verbatim so re-conversion is a no-op
             src_ignore = src_label_dir / f"{image_id}.ignore"
             if src_ignore.is_file():
-                shutil.copyfile(src_ignore, ignore_path)
-            elif ignore_path.exists():
-                ignore_path.unlink()
-        elif ignore_text:
+                carried = src_ignore.read_bytes().decode("utf-8")
+                if carried and ignore_text and not carried.endswith("\n"):
+                    carried += "\n"
+                ignore_text = carried + ignore_text
+        if ignore_text:
             ignore_path.write_text(ignore_text, encoding="utf-8", newline="\n")
         elif ignore_path.exists():
             ignore_path.unlink()

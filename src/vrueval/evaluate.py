@@ -15,8 +15,8 @@ from .annotations import DetectionRecord, GroundTruthRecord, parse_detections
 from .dataset import DatasetManifest, load_ground_truth
 from .errors import VruEvalError
 from .metrics import (
+    ConfusionCounts,
     average_precision,
-    confusion_at_threshold,
     f1,
     mean_ap,
     pr_curve,
@@ -99,24 +99,21 @@ def evaluate_records(
     conf_thresh: float = DEFAULT_CONF_THRESH,
 ) -> EvalReport:
     """Evaluate already-loaded records (the core of ``evaluate``)."""
-    num_classes = len(class_names)
-    counts = confusion_at_threshold(gts, dets, num_classes, iou_thresh, conf_thresh)
     aps: dict[int, float | None] = {}
+    counts = []
     class_rows = []
-    for class_id in range(num_classes):
+    for class_id, name in enumerate(class_names):
         curve = pr_curve(gts, dets, class_id, iou_thresh)
         aps[class_id] = average_precision(curve)
-        c = counts[class_id]
+        c = curve.counts_at(conf_thresh)
+        counts.append(c)
         p = precision(c)
         r = recall(c)
-        images_with_class = len(
-            {g.image_id for g in gts if not g.ignore and g.class_id == class_id}
-        )
         class_rows.append(
             ClassEval(
                 class_id=class_id,
-                name=class_names[class_id],
-                images=images_with_class,
+                name=name,
+                images=curve.n_images,
                 instances=c.tp + c.fn,
                 precision=p,
                 recall=r,
@@ -129,9 +126,7 @@ def evaluate_records(
         f"class {class_names[c]!r} has no ground-truth instances; excluded from mAP"
         for c in excluded
     )
-    pooled = counts[0]
-    for class_id in range(1, num_classes):
-        pooled = pooled + counts[class_id]
+    pooled = sum(counts, ConfusionCounts(0, 0, 0))
     pooled_p = precision(pooled)
     pooled_r = recall(pooled)
     all_row = ClassEval(

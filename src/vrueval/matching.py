@@ -18,7 +18,7 @@ from .annotations import DetectionRecord, GroundTruthRecord
 from .errors import ContractError
 from .geometry import iou
 
-__all__ = ["MatchOutcome", "match_class_image", "GreedyMatcher"]
+__all__ = ["MatchOutcome", "GreedyMatcher"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class MatchOutcome:
 class GreedyMatcher:
     """Incremental matcher holding the consumed-ground-truth state.
 
-    Feed detections in descending confidence; each ``feed`` call returns
-    that detection's MatchOutcome. Used directly for PR-curve sweeps where
-    detections arrive in a dataset-wide ranking.
+    Feed one image's detections of one class in descending confidence;
+    each ``feed`` call returns that detection's MatchOutcome. ``pr_curve``
+    holds one matcher per image and feeds it in the dataset-wide ranking.
     """
 
     def __init__(self, gts: list[GroundTruthRecord], iou_thresh: float):
@@ -76,29 +76,3 @@ class GreedyMatcher:
     @property
     def unmatched_count(self) -> int:
         return self._taken.count(False)
-
-
-def _check_same_image_class(gts, dets):
-    image_ids = {g.image_id for g in gts} | {d.image_id for d in dets}
-    if len(image_ids) > 1:
-        raise ContractError(f"records span multiple images: {sorted(image_ids)}")
-    class_ids = {g.class_id for g in gts if not g.ignore} | {d.class_id for d in dets}
-    if len(class_ids) > 1:
-        raise ContractError(f"records span multiple classes: {sorted(class_ids)}")
-
-
-def match_class_image(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    iou_thresh: float,
-) -> list[MatchOutcome]:
-    """Match one image's detections of one class; outcomes in ranked order.
-
-    Ignore records in ``gts`` are class-agnostic and may appear regardless
-    of the class being matched; all other records must share one image and
-    one class.
-    """
-    _check_same_image_class(gts, dets)
-    matcher = GreedyMatcher(gts, iou_thresh)
-    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    return [matcher.feed(dets[i]) for i in ranked]

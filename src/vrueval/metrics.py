@@ -1,20 +1,23 @@
 """Precision, recall, F1, PR curves, and (mean) average precision.
 
-Two reporting regimes coexist: point metrics (precision/recall/F1) are
-computed after cutting detections at a confidence threshold, while PR
-curves and AP consume the full ranked detection list. AP uses all-point
-interpolation: the area under the running-maximum precision envelope,
-accumulated over distinct recall steps.
+Both reporting regimes read one ranked sweep per class. PR curves and AP
+consume every detection; point metrics (precision/recall/F1) count the
+sweep's detections at or above a confidence cut. Greedy matching is online
+in rank order, so that equals matching the cut detections alone. AP uses
+all-point interpolation: the area under the running-maximum precision
+envelope, accumulated over distinct recall steps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import neg
 
 from .annotations import DetectionRecord, GroundTruthRecord
 from .errors import VruEvalError
-from .matching import GreedyMatcher, match_class_image
+from .matching import GreedyMatcher
 
 __all__ = [
     "ConfusionCounts",
@@ -60,57 +63,28 @@ def f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-def _group_by_image(records):
-    grouped = defaultdict(list)
-    for rec in records:
-        grouped[rec.image_id].append(rec)
-    return grouped
-
-
-def _split_gts_for_class(gts, class_id):
-    """Per-image ground truths of one class, plus class-agnostic ignores."""
-    per_image = defaultdict(list)
-    n_scorable = 0
-    for gt in gts:
-        if gt.ignore:
-            per_image[gt.image_id].append(gt)
-        elif gt.class_id == class_id:
-            per_image[gt.image_id].append(gt)
-            n_scorable += 1
-    return per_image, n_scorable
-
-
-def confusion_at_threshold(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    num_classes: int,
-    iou_thresh: float,
-    conf_thresh: float,
-) -> dict[int, ConfusionCounts]:
-    """Per-class TP/FP/FN with the confidence cut applied before matching."""
-    kept = [d for d in dets if d.confidence >= conf_thresh]
-    counts = {}
-    for class_id in range(num_classes):
-        gts_by_image, n_scorable = _split_gts_for_class(gts, class_id)
-        dets_by_image = _group_by_image(d for d in kept if d.class_id == class_id)
-        tp = fp = 0
-        for image_id, image_dets in dets_by_image.items():
-            outcomes = match_class_image(
-                gts_by_image.get(image_id, []), image_dets, iou_thresh
-            )
-            tp += sum(o.is_tp for o in outcomes)
-            fp += sum(o.is_fp for o in outcomes)
-        counts[class_id] = ConfusionCounts(tp, fp, n_scorable - tp)
-    return counts
-
-
 @dataclass(frozen=True)
 class PRCurve:
-    """Cumulative (recall, precision) points along the ranked sweep."""
+    """Cumulative (recall, precision) points along the ranked sweep.
+
+    ``confidences`` holds each point's detection confidence, so it is
+    non-increasing; ``n_images`` counts the images with a scorable ground
+    truth of the class.
+    """
 
     class_id: int
     points: tuple[tuple[float, float], ...]
     n_positives: int
+    confidences: tuple[float, ...]
+    n_images: int
+
+    def counts_at(self, conf_thresh: float) -> ConfusionCounts:
+        """TP/FP/FN of the sweep's detections with confidence >= conf_thresh."""
+        # confidences descend; bisect needs an ascending key
+        scored = bisect_right(self.confidences, -conf_thresh, key=neg)
+        # precision * scored is within an ulp of the integer TP count
+        tp = round(self.points[scored - 1][1] * scored) if scored else 0
+        return ConfusionCounts(tp, scored - tp, self.n_positives - tp)
 
 
 def pr_curve(
@@ -121,20 +95,25 @@ def pr_curve(
 ) -> PRCurve:
     """Sweep the dataset-wide confidence ranking for one class.
 
-    Detections are ranked across all images; each contributes one cumulative
-    point unless it is suppressed by an ignore region.
+    Detections are ranked across all images (ties keep input order); each
+    contributes one cumulative point unless it is suppressed by an ignore
+    region. Ignore records are class-agnostic.
     """
-    gts_by_image, n_scorable = _split_gts_for_class(gts, class_id)
-    class_dets = [d for d in dets if d.class_id == class_id]
-    ranked = sorted(range(len(class_dets)), key=lambda i: (-class_dets[i].confidence, i))
+    gts_by_image = defaultdict(list)
+    for gt in gts:
+        if gt.ignore or gt.class_id == class_id:
+            gts_by_image[gt.image_id].append(gt)
     matchers = {
         image_id: GreedyMatcher(image_gts, iou_thresh)
         for image_id, image_gts in gts_by_image.items()
     }
+    n_positives = sum(len(m.scorable) for m in matchers.values())
+    n_images = sum(1 for m in matchers.values() if m.scorable)
+    ranked = sorted((d for d in dets if d.class_id == class_id), key=lambda d: -d.confidence)
     points = []
+    confidences = []
     tp = fp = 0
-    for i in ranked:
-        det = class_dets[i]
+    for det in ranked:
         matcher = matchers.get(det.image_id)
         if matcher is None:
             matcher = matchers[det.image_id] = GreedyMatcher([], iou_thresh)
@@ -145,10 +124,25 @@ def pr_curve(
             tp += 1
         else:
             fp += 1
-        r = tp / n_scorable if n_scorable else 0.0
+        r = tp / n_positives if n_positives else 0.0
         p = tp / (tp + fp)
         points.append((r, p))
-    return PRCurve(class_id=class_id, points=tuple(points), n_positives=n_scorable)
+        confidences.append(det.confidence)
+    return PRCurve(class_id, tuple(points), n_positives, tuple(confidences), n_images)
+
+
+def confusion_at_threshold(
+    gts: list[GroundTruthRecord],
+    dets: list[DetectionRecord],
+    num_classes: int,
+    iou_thresh: float,
+    conf_thresh: float,
+) -> dict[int, ConfusionCounts]:
+    """Per-class TP/FP/FN of the detections at or above the confidence cut."""
+    return {
+        class_id: pr_curve(gts, dets, class_id, iou_thresh).counts_at(conf_thresh)
+        for class_id in range(num_classes)
+    }
 
 
 def average_precision(curve: PRCurve) -> float | None:

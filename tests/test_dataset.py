@@ -105,6 +105,30 @@ class TestConvert:
         )
         assert tree_bytes(tmp_path / "first") == tree_bytes(tmp_path / "second")
 
+    def yolo_source(self, tmp_path, sidecar=None):
+        labels = tmp_path / "src" / "labels" / "val"
+        labels.mkdir(parents=True)
+        (labels / "img1.txt").write_text(
+            "0 0.500000 0.500000 0.200000 0.200000\n2 0.250000 0.250000 0.100000 0.100000\n"
+        )
+        if sidecar is not None:
+            (labels / "img1.ignore").write_bytes(sidecar)
+        (tmp_path / "src" / "dimensions.txt").write_text("img1 400 200\n")
+        class_map = ClassMap(mapping={0: 0}, names=("pedestrian",), ignore=frozenset({2}))
+        convert_dataset(tmp_path / "src", class_map, tmp_path / "out", split="val")
+        return tmp_path / "out" / "labels" / "val"
+
+    def test_yolo_class_map_ignore_writes_sidecar(self, tmp_path):
+        label_dir = self.yolo_source(tmp_path)
+        assert (label_dir / "img1.txt").read_text() == "0 0.500000 0.500000 0.200000 0.200000\n"
+        assert (label_dir / "img1.ignore").read_text() == "0.250000 0.250000 0.100000 0.100000\n"
+
+    def test_yolo_sidecar_kept_verbatim_before_class_map_ignores(self, tmp_path):
+        label_dir = self.yolo_source(tmp_path, sidecar=b"0.9 0.9 0.1 0.1\r\n0.8 0.8 0.1 0.1")
+        assert (label_dir / "img1.ignore").read_bytes() == (
+            b"0.9 0.9 0.1 0.1\r\n0.8 0.8 0.1 0.1\n0.250000 0.250000 0.100000 0.100000\n"
+        )
+
     def test_pedestrian_and_car_keeps_one_line(self, tmp_path):
         src = tmp_path / "src"
         (src / "images").mkdir(parents=True)

@@ -118,6 +118,24 @@ class TestPRCurve:
             recalls = [r for r, _ in curve.points]
             assert recalls == sorted(recalls)
 
+    def test_confidences_follow_points(self):
+        gts = [gt(box=(0, 0, 10, 10))]
+        dets = [det(confidence=0.3, box=(50, 50, 60, 60)), det(confidence=0.7)]
+        curve = pr_curve(gts, dets, 0, 0.5)
+        assert curve.confidences == (0.7, 0.3)
+        assert curve.points == ((1.0, 1.0), (1.0, 0.5))
+
+    def test_images_count_scorable_ground_truth_only(self):
+        gts = [
+            gt("a"),
+            gt("a", box=(20, 20, 30, 30)),
+            gt("b", class_id=1),
+            gt("c", class_id=-1, ignore=True),
+        ]
+        assert pr_curve(gts, [det("d")], 0, 0.5).n_images == 1
+        assert pr_curve(gts, [], 1, 0.5).n_images == 1
+        assert pr_curve(gts, [], 2, 0.5).n_images == 0
+
     def test_suppressed_detections_emit_no_point(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         dets = [det(confidence=0.9, box=(1, 1, 9, 9)), det(confidence=0.8, box=(50, 50, 60, 60))]
@@ -149,7 +167,7 @@ class TestAveragePrecision:
 
     def test_no_positives_undefined(self):
         assert average_precision(pr_curve([], [det()], 0, 0.5)) is None
-        assert average_precision(PRCurve(0, (), 0)) is None
+        assert average_precision(PRCurve(0, (), 0, (), 0)) is None
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(4242)
@@ -202,12 +220,20 @@ def test_oracle_self_check_envelope():
     assert ap_from_points([(0.5, 1.0), (1.0, 0.5)]) == pytest.approx(0.75)
 
 
-def test_confusion_matches_oracle():
+@pytest.mark.parametrize(
+    "cut", [0.0, 0.2, 0.5, 0.999, 1.0, pytest.param(None, id="at-a-detection")]
+)
+def test_confusion_matches_oracle(cut):
+    # the oracle matches each image's cut detections from scratch; the library
+    # reads the same counts off the full ranked sweep
     rng = random.Random(555)
     for _ in range(100):
         gts, dets = random_instance(rng, with_ignores=True)
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
+        conf_thresh = cut
+        if cut is None:
+            conf_thresh = rng.choice(dets).confidence if dets else 0.5
+        counts = confusion_at_threshold(gts, dets, 1, 0.5, conf_thresh)
         expected = class_confusion(
-            [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5, 0.2
+            [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5, conf_thresh
         )
         assert (counts[0].tp, counts[0].fp, counts[0].fn) == expected
