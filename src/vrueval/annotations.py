@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import yaml
 
 from .errors import ParseError, SchemaError
-from .geometry import BoundingBox, ImageDims, NormalizedBox, from_normalized
+from .geometry import BoundingBox, ImageDims, check_normalized, denormalize
 
 __all__ = [
     "IGNORE_CLASS_ID",
@@ -205,15 +205,17 @@ def parse_visdrone_file(
     return records
 
 
-def _parse_normalized(parts: list[str], path: str | None, lineno: int) -> NormalizedBox:
+def _parse_box(parts: list[str], dims: ImageDims, path: str | None, lineno: int) -> BoundingBox:
+    """Corner box of the four ``cx cy w h`` tokens of one line."""
     try:
-        cx, cy, w, h = (float(p) for p in parts)
+        cx, cy, w, h = map(float, parts)
     except ValueError:
         raise ParseError(f"non-numeric normalized field in {parts}", path, lineno)
     try:
-        return NormalizedBox(cx, cy, w, h)
+        check_normalized(cx, cy, w, h)
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno)
+    return denormalize(cx, cy, w, h, dims)
 
 
 def _parse_class_id(token: str, num_classes: int | None, path: str | None, lineno: int) -> int:
@@ -248,8 +250,8 @@ def parse_yolo_labels(
         if len(parts) != 5:
             raise ParseError(f"expected 5 fields, got {len(parts)}", path, lineno)
         class_id = _parse_class_id(parts[0], num_classes, path, lineno)
-        norm = _parse_normalized(parts[1:], path, lineno)
-        records.append(GroundTruthRecord(image_id, class_id, from_normalized(norm, dims)))
+        box = _parse_box(parts[1:], dims, path, lineno)
+        records.append(GroundTruthRecord(image_id, class_id, box))
     return records
 
 
@@ -273,12 +275,11 @@ def parse_detections(
             confidence = float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
-        if not 0.0 <= confidence <= 1.0:
-            raise ParseError(f"confidence {confidence} outside [0, 1]", path, lineno)
-        norm = _parse_normalized(parts[2:], path, lineno)
-        records.append(
-            DetectionRecord(image_id, class_id, confidence, from_normalized(norm, dims))
-        )
+        box = _parse_box(parts[2:], dims, path, lineno)
+        try:
+            records.append(DetectionRecord(image_id, class_id, confidence, box))
+        except ValueError as exc:  # the record owns the confidence range check
+            raise ParseError(str(exc), path, lineno)
     return records
 
 
@@ -293,8 +294,6 @@ def parse_ignore_regions(
             continue
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", path, lineno)
-        norm = _parse_normalized(parts, path, lineno)
-        records.append(
-            GroundTruthRecord(image_id, IGNORE_CLASS_ID, from_normalized(norm, dims), ignore=True)
-        )
+        box = _parse_box(parts, dims, path, lineno)
+        records.append(GroundTruthRecord(image_id, IGNORE_CLASS_ID, box, ignore=True))
     return records

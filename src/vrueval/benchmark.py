@@ -12,6 +12,7 @@ small epsilon of the from-scratch reference run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -321,9 +322,6 @@ class ScenarioReport:
                     raise VruEvalError(f"improvement cell {cell} definedness mismatch")
             elif abs(expect - cell.percent) > tol:
                 raise VruEvalError(f"improvement cell {cell} off by {expect - cell.percent}")
-        for entry in self.forgetting_entries:
-            if entry.drop != entry.before - entry.after:
-                raise VruEvalError(f"forgetting entry {entry} inconsistent")
 
     def to_dict(self) -> dict:
         return {
@@ -475,16 +473,17 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
     entries = []
     for entry in doc.get("forgetting", []):
         try:
-            entries.append(
-                ForgettingEntry(
-                    task=str(entry["task"]),
-                    metric=str(entry["metric"]),
-                    before=float(entry["before"]),
-                    after=float(entry["after"]),
-                )
+            parsed = ForgettingEntry(
+                task=str(entry["task"]),
+                metric=str(entry["metric"]),
+                before=float(entry["before"]),
+                after=float(entry["after"]),
             )
+            if not (math.isfinite(parsed.before) and math.isfinite(parsed.after)):
+                raise ValueError("before and after must be finite")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: invalid forgetting entry {entry!r}: {exc}") from exc
+        entries.append(parsed)
     return records, entries
 
 

@@ -16,8 +16,10 @@ __all__ = [
     "BoundingBox",
     "NormalizedBox",
     "iou",
+    "check_normalized",
     "to_normalized",
     "from_normalized",
+    "denormalize",
 ]
 
 
@@ -71,10 +73,19 @@ class NormalizedBox:
     h: float
 
     def __post_init__(self):
-        for field_name in ("cx", "cy", "w", "h"):
-            value = getattr(self, field_name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"normalized component {field_name}={value} outside [0, 1]")
+        check_normalized(self.cx, self.cy, self.w, self.h)
+
+
+def check_normalized(cx: float, cy: float, w: float, h: float) -> None:
+    """Raise ValueError naming the first of cx, cy, w, h outside [0, 1].
+
+    NaN fails every comparison and so is rejected as out of range.
+    """
+    if 0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0 and 0.0 <= w <= 1.0 and 0.0 <= h <= 1.0:
+        return
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"normalized component {name}={value} outside [0, 1]")
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -116,8 +127,13 @@ def to_normalized(box: BoundingBox, dims: ImageDims) -> NormalizedBox:
 
 def from_normalized(norm: NormalizedBox, dims: ImageDims) -> BoundingBox:
     """Inverse of to_normalized, up to floating-point round-trip error."""
-    half_w = norm.w * dims.width / 2.0
-    half_h = norm.h * dims.height / 2.0
-    cx = norm.cx * dims.width
-    cy = norm.cy * dims.height
+    return denormalize(norm.cx, norm.cy, norm.w, norm.h, dims)
+
+
+def denormalize(cx: float, cy: float, w: float, h: float, dims: ImageDims) -> BoundingBox:
+    """Corner box of already range-checked normalized center/size values."""
+    half_w = w * dims.width / 2.0
+    half_h = h * dims.height / 2.0
+    cx = cx * dims.width
+    cy = cy * dims.height
     return BoundingBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h)

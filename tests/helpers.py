@@ -61,18 +61,22 @@ def random_instance(
     n_images: int = 2,
     with_ignores: bool = False,
     class_id: int = 0,
+    box=random_box,
 ):
-    """One random matching problem; confidences are distinct by construction."""
+    """One random matching problem; confidences are distinct by construction.
+
+    ``box(rng)`` draws every box; the default is ``random_box``.
+    """
     images = [f"im{i}" for i in range(rng.randint(1, n_images))]
     gts = []
     for _ in range(rng.randint(0, max_gts)):
-        gts.append(gt(rng.choice(images), class_id, random_box(rng)))
+        gts.append(gt(rng.choice(images), class_id, box(rng)))
     if with_ignores:
         for _ in range(rng.randint(0, 2)):
-            gts.append(gt(rng.choice(images), -1, random_box(rng), ignore=True))
+            gts.append(gt(rng.choice(images), -1, box(rng), ignore=True))
     n_dets = rng.randint(0, max_dets)
     confidences = rng.sample(range(1, 1000), n_dets)
     dets = []
     for conf in confidences:
-        dets.append(det(rng.choice(images), class_id, conf / 1000.0, random_box(rng)))
+        dets.append(det(rng.choice(images), class_id, conf / 1000.0, box(rng)))
     return gts, dets

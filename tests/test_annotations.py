@@ -163,3 +163,35 @@ def test_ignore_region_sidecar():
     assert recs[0].box == BoundingBox(40, 40, 60, 60)
     with pytest.raises(ParseError):
         parse_ignore_regions("0.5 0.5 0.2", ImageDims(100, 100))
+
+
+LINE_PARSERS = {
+    "detection": (parse_detections, "0 0.9 "),
+    "label": (parse_yolo_labels, "0 "),
+    "ignore": (parse_ignore_regions, ""),
+}
+BOX_ERRORS = [
+    ("1.5 0.5 0.2 0.2", "normalized component cx=1.5 outside [0, 1]"),
+    ("0.5 -0.1 0.2 0.2", "normalized component cy=-0.1 outside [0, 1]"),
+    ("0.5 0.5 2 0.2", "normalized component w=2.0 outside [0, 1]"),
+    ("0.5 0.5 0.2 1.5", "normalized component h=1.5 outside [0, 1]"),
+    ("nan 0.5 0.2 0.2", "normalized component cx=nan outside [0, 1]"),
+    ("0.5 0.5 inf 0.2", "normalized component w=inf outside [0, 1]"),
+    ("0.5 abc 0.2 0.2", "non-numeric normalized field in ['0.5', 'abc', '0.2', '0.2']"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_PARSERS))
+@pytest.mark.parametrize("box, message", BOX_ERRORS)
+def test_bad_box_fields_name_file_and_line(kind, box, message):
+    parse, prefix = LINE_PARSERS[kind]
+    text = f"{prefix}0.5 0.5 0.2 0.2\n{prefix}{box}\n"
+    with pytest.raises(ParseError) as info:
+        parse(text, ImageDims(100, 100), path="f.txt")
+    assert str(info.value) == f"f.txt:2: {message}"
+
+
+def test_nan_confidence_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_detections("0 nan 0.5 0.5 0.2 0.2\n", ImageDims(100, 100), path="f.txt")
+    assert str(info.value) == "f.txt:1: confidence nan outside [0, 1]"

@@ -269,6 +269,16 @@ class TestRunFileIO:
         records, entries = load_run_file(path)
         assert entries == [ForgettingEntry("t1", "map50", 0.5, 0.4)]
 
+    @pytest.mark.parametrize("before, after", [(".nan", "0.3"), ("0.5", ".inf")])
+    def test_non_finite_forgetting_value_rejected(self, tmp_path, before, after):
+        path = tmp_path / "runs.yaml"
+        path.write_text(
+            "runs:\n  - name: a\n"
+            f"forgetting:\n  - {{task: t1, metric: map50, before: {before}, after: {after}}}\n"
+        )
+        with pytest.raises(SchemaError, match="finite"):
+            load_run_file(path)
+
     def test_metric_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "runs.yaml"
         path.write_text("runs:\n  - name: a\n    precision: 1.5\n")

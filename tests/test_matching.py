@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import det, gt, random_instance, to_oracle_det, to_oracle_gt
+import vrueval.matching
+from helpers import det, gt, random_box, random_instance, to_oracle_det, to_oracle_gt
 from oracle import greedy_match_image, rank
 from vrueval.errors import ContractError
 from vrueval.matching import GreedyMatcher
@@ -113,17 +114,59 @@ class TestContracts:
             GreedyMatcher([], 1.5)
 
 
+def fate(outcome):
+    return "tp" if outcome.is_tp else ("ignored" if outcome.suppressed else "fp")
+
+
+def test_iou_runs_only_for_overlapping_pairs(monkeypatch):
+    real_iou = vrueval.matching.iou
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append((a, b))
+        return real_iou(a, b)
+
+    monkeypatch.setattr(vrueval.matching, "iou", counting_iou)
+    ground = gt(box=(10, 10, 20, 20))
+    region = gt(class_id=-1, box=(40, 10, 50, 20), ignore=True)
+    boxes = [
+        (25, 30, 35, 35),  # disjoint from both
+        (20, 10, 30, 20),  # shares the ground truth's right edge
+        (0, 0, 10, 10),    # shares the ground truth's top-left corner
+        (50, 12, 60, 18),  # shares the region's right edge
+        (30, 0, 40, 10),   # shares the region's top-left corner
+        (10, 10, 20, 19),  # overlaps the ground truth: IoU 0.9
+        (41, 11, 49, 19),  # overlaps the region: IoU 0.64
+    ]
+    dets = [det(confidence=0.9 - i * 0.1, box=b) for i, b in enumerate(boxes)]
+    outcomes = match_ranked([ground, region], dets, 0.5)
+    assert [fate(o) for o in outcomes] == ["fp"] * 5 + ["tp", "ignored"]
+    assert [o.iou for o in outcomes] == [0.0] * 5 + [pytest.approx(0.9), pytest.approx(0.64)]
+    assert calls == [(dets[5].box, ground.box), (dets[6].box, region.box)]
+
+
+def grid_box(rng: random.Random) -> tuple:
+    """Integer boxes in a 6x6 arena, up to 2 units a side.
+
+    Touching edges, shared corners, identical and zero-area boxes, and IoU
+    exactly 0.5 are all frequent here.
+    """
+    x0 = rng.randrange(0, 5)
+    y0 = rng.randrange(0, 5)
+    return (x0, y0, x0 + rng.randrange(0, 3), y0 + rng.randrange(0, 3))
+
+
 def test_matches_oracle_on_random_instances():
-    rng = random.Random(1412)
-    for _ in range(300):
-        gts, dets = random_instance(rng, n_images=1, with_ignores=True)
-        odets = [to_oracle_det(d) for d in dets]
-        order = rank(odets)
-        outcomes = match_ranked(gts, [dets[i] for i in order], 0.5)
-        got = [
-            "tp" if o.is_tp else ("ignored" if o.suppressed else "fp") for o in outcomes
-        ]
-        for d in odets:
-            d["_thresh"] = 0.5
-        expected = greedy_match_image([to_oracle_gt(g) for g in gts], [odets[i] for i in order])
-        assert got == expected
+    for box in (random_box, grid_box):
+        rng = random.Random(1412)
+        for _ in range(300):
+            gts, dets = random_instance(rng, n_images=1, with_ignores=True, box=box)
+            odets = [to_oracle_det(d) for d in dets]
+            order = rank(odets)
+            outcomes = match_ranked(gts, [dets[i] for i in order], 0.5)
+            for d in odets:
+                d["_thresh"] = 0.5
+            expected = greedy_match_image(
+                [to_oracle_gt(g) for g in gts], [odets[i] for i in order]
+            )
+            assert [fate(o) for o in outcomes] == expected
