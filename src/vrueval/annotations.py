@@ -87,9 +87,6 @@ class ClassMap:
     def num_classes(self) -> int:
         return len(self.names)
 
-    def name_of(self, class_id: int) -> str:
-        return self.names[class_id]
-
     @classmethod
     def visdrone_default(cls) -> "ClassMap":
         """The four-VRU-class remap: pedestrian, people, bicycle, tricycle.

@@ -13,7 +13,7 @@ small epsilon of the from-scratch reference run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -55,20 +55,6 @@ DEFAULT_EPSILON = 0.02
 # can drift by a few thousandths; gaps beyond this are real inconsistencies.
 CONSISTENCY_TOL = 0.005
 
-_KNOWN_FIELDS = (
-    "name",
-    "precision",
-    "recall",
-    "f1",
-    "map50",
-    "fps",
-    "inference_ms",
-    "training_hours",
-    "eval_dataset",
-    "note",
-)
-
-
 @dataclass
 class ModelRunRecord:
     """Metric and timing row for one model configuration."""
@@ -86,12 +72,18 @@ class ModelRunRecord:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"run name must be a string, got {self.name!r}")
         for metric in METRIC_FIELDS:
             value = getattr(self, metric)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise SchemaError(f"run {self.name!r}: {metric}={value} outside [0, 1]")
-        if self.fps is not None and self.fps <= 0:
-            raise SchemaError(f"run {self.name!r}: fps={self.fps} must be positive")
+        if self.fps is not None and not (math.isfinite(self.fps) and self.fps > 0):
+            raise SchemaError(f"run {self.name!r}: fps={self.fps} must be finite and positive")
+        for key in ("inference_ms", "training_hours"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise SchemaError(f"run {self.name!r}: {key}={value} must be finite")
 
     def metric(self, name: str) -> float | None:
         if name not in METRIC_FIELDS:
@@ -106,6 +98,18 @@ class ModelRunRecord:
                 doc[key] = value
         doc.update(self.extra)
         return doc
+
+
+# Run-file keys with a field of their own, in JSON key order; the rest go to ``extra``.
+_KNOWN_FIELDS = tuple(f.name for f in fields(ModelRunRecord) if f.name != "extra")
+
+
+def _metric_cells(rec: ModelRunRecord) -> list[str]:
+    """Table cells for a run's name and its metrics; a missing metric is blank."""
+    return [rec.name] + [
+        "" if (value := rec.metric(metric)) is None else f"{value:.4f}"
+        for metric in METRIC_FIELDS
+    ]
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,10 @@ def computational_time(fps: float, frames: float = DEFAULT_FRAMES) -> float:
     """Seconds needed to process ``frames`` frames at the given FPS."""
     if fps <= 0:
         raise VruEvalError(f"fps must be positive, got {fps}")
-    return frames / fps
+    seconds = frames / fps
+    if not math.isfinite(seconds):
+        raise VruEvalError(f"computational time of {frames:g} frames at {fps:g} FPS overflows")
+    return seconds
 
 
 def relative_improvement(new: float, base: float) -> float:
@@ -201,7 +208,7 @@ class ComparisonTable:
             "runs": rows,
         }
 
-    def to_table(self) -> tuple[list[str], list[list[str]]]:
+    def to_tables(self) -> list[tuple[list[str], list[list[str]]]]:
         headers = [
             "Run",
             "Precision",
@@ -215,10 +222,7 @@ class ComparisonTable:
         times = self.computational_times()
         rows = []
         for rec in self.records:
-            cells = [rec.name]
-            for metric in METRIC_FIELDS:
-                value = rec.metric(metric)
-                cells.append("" if value is None else f"{value:.4f}")
+            cells = _metric_cells(rec)
             cells.append("" if rec.fps is None else f"{rec.fps:g}")
             ct = times[rec.name]
             cells.append("" if ct is None else f"{ct:.3f}")
@@ -231,7 +235,7 @@ class ComparisonTable:
                 else:
                     cells.append(f"{cell.percent:+.2f}")
             rows.append(cells)
-        return headers, rows
+        return [(headers, rows)]
 
 
 def compare_models(
@@ -308,21 +312,6 @@ class ScenarioReport:
                 return cell
         raise KeyError(f"no improvement cell for {metric} {base_run}->{new_run}")
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Recompute every cell from its source records; raise on drift."""
-        by_name = {rec.name: rec for rec in self.records}
-        for cell in self.improvements:
-            base = by_name[cell.base_run].metric(cell.metric)
-            new = by_name[cell.new_run].metric(cell.metric)
-            if base != cell.base or new != cell.new:
-                raise VruEvalError(f"improvement cell {cell} disagrees with source records")
-            expect = None if base == 0 else 100.0 * (new - base) / base
-            if expect is None or cell.percent is None:
-                if expect != cell.percent:
-                    raise VruEvalError(f"improvement cell {cell} definedness mismatch")
-            elif abs(expect - cell.percent) > tol:
-                raise VruEvalError(f"improvement cell {cell} off by {expect - cell.percent}")
-
     def to_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
@@ -363,10 +352,7 @@ class ScenarioReport:
         run_headers = ["Run", "Precision", "Recall", "F1", "mAP50", "Train (h)", "Dataset"]
         run_rows = []
         for rec in self.records:
-            cells = [rec.name]
-            for metric in METRIC_FIELDS:
-                value = rec.metric(metric)
-                cells.append("" if value is None else f"{value:.4f}")
+            cells = _metric_cells(rec)
             cells.append("" if rec.training_hours is None else f"{rec.training_hours:g}")
             cells.append(rec.eval_dataset or "")
             run_rows.append(cells)
@@ -471,7 +457,10 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
         except (TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     entries = []
-    for entry in doc.get("forgetting", []):
+    forgetting_doc = doc.get("forgetting", [])
+    if not isinstance(forgetting_doc, list):
+        raise SchemaError(f"{path}: 'forgetting' must be a list, got {forgetting_doc!r}")
+    for entry in forgetting_doc:
         try:
             parsed = ForgettingEntry(
                 task=str(entry["task"]),

@@ -9,6 +9,7 @@ threshold 0.2, 30-frame throughput budget.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,13 +27,20 @@ from .benchmark import (
 from .dataset import convert_dataset, dataset_stats, load_manifest
 from .errors import VruEvalError
 from .evaluate import DEFAULT_CONF_THRESH, DEFAULT_IOU_THRESH, evaluate
-from .render import TABLE_FORMATS, render_table, render_tables
+from .render import TABLE_FORMATS, render_table
 
 OUTPUT_FORMATS = TABLE_FORMATS + ("structured",)
 
 
 def _echo_result(text: str) -> None:
     click.echo(text, nl=not text.endswith("\n"))
+
+
+def _render(report, fmt: str) -> str:
+    """A report (``to_dict`` and ``to_tables``) as JSON or as blank-line-separated tables."""
+    if fmt == "structured":
+        return json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    return "\n".join(render_table(headers, rows, fmt) for headers, rows in report.to_tables())
 
 
 def _warn(ctx_obj: dict, message: str) -> None:
@@ -90,7 +98,6 @@ def convert(ctx, src, out, classmap, split, source_format, workers):
     receives labels/<split>/, dataset.yaml, dimensions.txt, manifest.json.
     """
     class_map = ClassMap.from_file(classmap) if classmap else ClassMap.visdrone_default()
-    Path(out).mkdir(parents=True, exist_ok=True)
     try:
         manifest = convert_dataset(
             src,
@@ -118,27 +125,7 @@ def convert(ctx, src, out, classmap, split, source_format, workers):
 @click.pass_context
 def stats(ctx, manifest):
     """Per-class image and instance counts for a converted dataset."""
-    mf = load_manifest(manifest)
-    st = dataset_stats(mf)
-    fmt = ctx.obj["format"]
-    if fmt == "structured":
-        doc = {
-            "split": mf.split,
-            "classes": [
-                {"name": name, "images": cs.images, "instances": cs.instances}
-                for name, cs in zip(mf.class_names, st.per_class)
-            ],
-            "all": {"images": st.total_images, "instances": st.total_instances},
-        }
-        _echo_result(json.dumps(doc, indent=2))
-        return
-    headers = ["Class", "Images", "Instances"]
-    rows = [
-        [name, str(cs.images), str(cs.instances)]
-        for name, cs in zip(mf.class_names, st.per_class)
-    ]
-    rows.append(["all", str(st.total_images), str(st.total_instances)])
-    _echo_result(render_table(headers, rows, fmt))
+    _echo_result(_render(dataset_stats(load_manifest(manifest)), ctx.obj["format"]))
 
 
 @cli.command("eval")
@@ -170,15 +157,8 @@ def eval_cmd(ctx, manifest, detections, iou_thresh, conf_thresh, out_path):
     for warning in report.warnings:
         _warn(ctx.obj, warning)
     if out_path:
-        Path(out_path).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-    fmt = ctx.obj["format"]
-    if fmt == "structured":
-        _echo_result(json.dumps(report.to_dict(), indent=2))
-    else:
-        headers, rows = report.to_table()
-        _echo_result(render_table(headers, rows, fmt))
+        Path(out_path).write_text(_render(report, "structured") + "\n", encoding="utf-8")
+    _echo_result(_render(report, ctx.obj["format"]))
 
 
 @cli.command()
@@ -209,10 +189,10 @@ def compare(ctx, run_files, baseline, scenario, sort_by, frames, epsilon):
     percentages of the baseline value, 100*(new-base)/base. Stated-F1-vs-
     formula discrepancies are reported on stderr, never silently reconciled.
     """
-    if frames <= 0:
-        raise click.UsageError(f"--frames must be positive, got {frames}")
-    if epsilon < 0:
-        raise click.UsageError(f"--epsilon must be non-negative, got {epsilon}")
+    if not (math.isfinite(frames) and frames > 0):
+        raise click.UsageError(f"--frames must be finite and positive, got {frames}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise click.UsageError(f"--epsilon must be finite and non-negative, got {epsilon}")
     records = []
     forgetting_entries = []
     for run_file in run_files:
@@ -221,26 +201,16 @@ def compare(ctx, run_files, baseline, scenario, sort_by, frames, epsilon):
         forgetting_entries.extend(file_entries)
     for note in consistency_notes(records):
         _warn(ctx.obj, note)
-    fmt = ctx.obj["format"]
     if scenario:
         report = continual_scenario(records, epsilon, forgetting_entries)
-        report.validate()
         for flag in report.flags:
             if flag.flagged:
                 _warn(ctx.obj, flag.describe())
-        if fmt == "structured":
-            _echo_result(json.dumps(report.to_dict(), indent=2))
-        else:
-            _echo_result(render_tables(report.to_tables(), fmt))
-        return
-    if baseline is None:
+    elif baseline is None:
         raise click.UsageError("--baseline is required unless --scenario is given")
-    table = compare_models(records, baseline, frames, sort_by)
-    if fmt == "structured":
-        _echo_result(json.dumps(table.to_dict(), indent=2))
     else:
-        headers, rows = table.to_table()
-        _echo_result(render_table(headers, rows, fmt))
+        report = compare_models(records, baseline, frames, sort_by)
+    _echo_result(_render(report, ctx.obj["format"]))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -133,12 +133,32 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class DatasetStats:
+    split: str
+    class_names: tuple[str, ...]
     per_class: tuple[ClassStats, ...]
     total_images: int
 
     @property
     def total_instances(self) -> int:
         return sum(c.instances for c in self.per_class)
+
+    def to_dict(self) -> dict:
+        return {
+            "split": self.split,
+            "classes": [
+                {"name": name, "images": cs.images, "instances": cs.instances}
+                for name, cs in zip(self.class_names, self.per_class)
+            ],
+            "all": {"images": self.total_images, "instances": self.total_instances},
+        }
+
+    def to_tables(self) -> list[tuple[list[str], list[list[str]]]]:
+        rows = [
+            [name, str(cs.images), str(cs.instances)]
+            for name, cs in zip(self.class_names, self.per_class)
+        ]
+        rows.append(["all", str(self.total_images), str(self.total_instances)])
+        return [(["Class", "Images", "Instances"], rows)]
 
 
 def read_dimension_index(path: Path) -> dict[str, ImageDims]:
@@ -357,6 +377,8 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
             instances[rec.class_id] += 1
             image_sets[rec.class_id].add(image.image_id)
     return DatasetStats(
+        split=manifest.split,
+        class_names=manifest.class_names,
         per_class=tuple(
             ClassStats(images=len(image_sets[i]), instances=instances[i]) for i in range(k)
         ),

@@ -72,7 +72,7 @@ class EvalReport:
             "warnings": list(self.warnings),
         }
 
-    def to_table(self) -> tuple[list[str], list[list[str]]]:
+    def to_tables(self) -> list[tuple[list[str], list[list[str]]]]:
         headers = ["Class", "Images", "Instances", "Precision", "Recall", "F1", "AP50"]
         rows = []
         for ce in (*self.classes, self.all_row):
@@ -87,7 +87,7 @@ class EvalReport:
                     "n/a" if ce.ap is None else f"{ce.ap:.4f}",
                 ]
             )
-        return headers, rows
+        return [(headers, rows)]
 
 
 def evaluate_records(

@@ -7,7 +7,7 @@ import io
 
 from .errors import SchemaError
 
-__all__ = ["TABLE_FORMATS", "render_table", "render_tables"]
+__all__ = ["TABLE_FORMATS", "render_table"]
 
 TABLE_FORMATS = ("aligned", "csv", "markdown")
 
@@ -41,7 +41,3 @@ def render_table(headers: list[str], rows: list[list[str]], fmt: str = "aligned"
         return "\n".join(lines) + "\n"
     raise SchemaError(f"unknown table format {fmt!r}; choose from {TABLE_FORMATS}")
 
-
-def render_tables(tables, fmt: str = "aligned") -> str:
-    """Multiple tables separated by blank lines."""
-    return "\n".join(render_table(headers, rows, fmt) for headers, rows in tables)

@@ -65,6 +65,10 @@ class TestComputationalTime:
         with pytest.raises(VruEvalError):
             computational_time(-5)
 
+    def test_overflow_rejected(self):
+        with pytest.raises(VruEvalError, match="overflows"):
+            computational_time(1e-300, frames=1e10)
+
     def test_strictly_decreasing_and_product(self):
         values = [computational_time(fps) for _, fps, _ in sorted(PUBLISHED_TIMES, key=lambda t: t[1])]
         assert values == sorted(values, reverse=True)
@@ -172,7 +176,7 @@ class TestCompareModels:
             compare_models([ModelRunRecord("a")], baseline="a")
 
     def test_table_render_shape(self, benchmark_runs):
-        headers, rows = compare_models(benchmark_runs, baseline="yolov5x").to_table()
+        [(headers, rows)] = compare_models(benchmark_runs, baseline="yolov5x").to_tables()
         assert len(rows) == 7
         assert all(len(row) == len(headers) for row in rows)
 
@@ -212,20 +216,6 @@ class TestContinualScenario:
     def test_fewer_than_two_rejected(self):
         with pytest.raises(SchemaError):
             continual_scenario([ModelRunRecord("only")])
-
-    def test_self_consistency_validator(self, continual_runs):
-        report = continual_scenario(continual_runs)
-        report.validate()  # must not raise
-        report.improvements[0] = type(report.improvements[0])(
-            metric=report.improvements[0].metric,
-            base_run=report.improvements[0].base_run,
-            new_run=report.improvements[0].new_run,
-            base=report.improvements[0].base,
-            new=report.improvements[0].new,
-            percent=(report.improvements[0].percent or 0) + 1.0,
-        )
-        with pytest.raises(VruEvalError):
-            report.validate()
 
     def test_forgetting_entries_carried(self, continual_runs):
         entries = [ForgettingEntry("drone-task", "map50", 0.5415, 0.30)]
@@ -278,6 +268,31 @@ class TestRunFileIO:
         )
         with pytest.raises(SchemaError, match="finite"):
             load_run_file(path)
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            pytest.param("runs:\n  - name: a\n    fps: .nan\n", "fps", id="fps-nan"),
+            pytest.param("runs:\n  - name: a\n    fps: .inf\n", "fps", id="fps-inf"),
+            pytest.param(
+                "runs:\n  - name: a\n    inference_ms: .nan\n", "inference_ms",
+                id="inference-ms-nan",
+            ),
+            pytest.param(
+                "runs:\n  - name: a\n    training_hours: -.inf\n", "training_hours",
+                id="training-hours-inf",
+            ),
+            pytest.param("runs:\n  - name: 7\n", "name", id="name-int"),
+            pytest.param("runs:\n  - name: a\nforgetting:\n", "forgetting", id="forgetting-empty"),
+            pytest.param("runs:\n  - name: a\nforgetting: 5\n", "forgetting", id="forgetting-scalar"),
+        ],
+    )
+    def test_malformed_run_rejected_with_path(self, tmp_path, body, reason):
+        path = tmp_path / "runs.yaml"
+        path.write_text(body)
+        with pytest.raises(SchemaError, match=reason) as exc_info:
+            load_run_file(path)
+        assert str(path) in str(exc_info.value)
 
     def test_metric_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "runs.yaml"

@@ -1,20 +1,66 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from helpers import fixtures_root
-from vrueval.cli import main
+from vrueval.annotations import ClassMap
+from vrueval.cli import OUTPUT_FORMATS, main
+from vrueval.dataset import convert_dataset
 
 FIXTURES = fixtures_root()
 DATA = Path(__file__).parents[1] / "data"
 MICRO = FIXTURES / "micro"
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_reports.json"
 
 
 def run(capsys, *args):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_runs(converted_manifest: Path) -> dict[str, tuple]:
+    """Report commands pinned by the golden file, by run id (format excluded)."""
+    return {
+        "stats-micro": ("stats", MICRO / "manifest.json"),
+        "stats-visdrone-mini": ("stats", converted_manifest),
+        "eval-micro-conf0.2": ("eval", MICRO / "manifest.json", MICRO / "detections"),
+        "eval-micro-conf0.5": (
+            "eval", MICRO / "manifest.json", MICRO / "detections", "--conf-thresh", "0.5",
+        ),
+        "compare-yolov5x": ("compare", DATA / "model_benchmark.yaml", "--baseline", "yolov5x"),
+        "scenario-continual": ("compare", DATA / "continual_runs.yaml", "--scenario"),
+        "scenario-forgetting": ("compare", FIXTURES / "forgetting_runs.yaml", "--scenario"),
+    }
+
+
+def convert_visdrone_mini(out: Path) -> Path:
+    convert_dataset(
+        FIXTURES / "visdrone_mini", ClassMap.visdrone_default(), out,
+        split="val", warn=lambda msg: None,
+    )
+    return out / "manifest.json"
+
+
+def report_stdout(fmt: str, args: tuple) -> str:
+    """Stdout of one successful CLI run in the given output format."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--format", fmt, *map(str, args)])
+    assert code == 0, (fmt, args)
+    return out.getvalue()
+
+
+def golden_reports(converted_manifest: Path) -> dict[str, str]:
+    return {
+        f"{run_id}/{fmt}": report_stdout(fmt, args)
+        for run_id, args in golden_runs(converted_manifest).items()
+        for fmt in OUTPUT_FORMATS
+    }
 
 
 class TestConvertCommand:
@@ -37,6 +83,14 @@ class TestConvertCommand:
         code, _, stderr = run(capsys, "convert", src, tmp_path / "out")
         assert code == 2
         assert "no images found" in stderr
+
+    def test_failed_convert_leaves_no_output(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        (src / "annotations").mkdir(parents=True)
+        code, _, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert code == 2
+        assert "dimensions.txt" in stderr
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_identical_bytes(self, capsys, tmp_path):
         out = tmp_path / "out"
@@ -143,6 +197,15 @@ class TestEvalCommand:
         assert code == 0
         assert json.loads(out.read_text())["all"]["ap50"] == 0.608333
 
+    def test_report_file_is_structured_stdout(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(
+            capsys, "--format", "structured", "eval",
+            MICRO / "manifest.json", MICRO / "detections", "--out", out,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == stdout
+
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(
             capsys, "eval", MICRO / "manifest.json", MICRO / "detections",
@@ -219,6 +282,18 @@ class TestCompareCommand:
         assert code == 2
         assert "duplicate" in stderr
 
+    @pytest.mark.parametrize("option", ["--frames", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", [("--baseline", "yolov5x"), ("--scenario",)])
+    def test_non_finite_option_is_usage_error(self, capsys, option, value, mode):
+        code, stdout, stderr = run(
+            capsys, "--format", "structured", "compare",
+            DATA / "model_benchmark.yaml", *mode, option, value,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert option in stderr and "finite" in stderr
+
     def test_baseline_required_without_scenario(self, capsys):
         code, _, stderr = run(capsys, "compare", DATA / "model_benchmark.yaml")
         assert code == 1
@@ -276,3 +351,28 @@ class TestCliContract:
         code, _, stderr = run(capsys, "compare", path, "--baseline", "x")
         assert code == 2
         assert "Traceback" not in stderr
+
+
+class TestGoldenReports:
+    """Every report, in every format, byte for byte as pinned in the golden file.
+
+    Regenerate the file (only for an intended report change) with
+    ``PYTHONPATH=src python tests/test_cli.py``.
+    """
+
+    @pytest.fixture(scope="class")
+    def converted(self, tmp_path_factory):
+        return convert_visdrone_mini(tmp_path_factory.mktemp("golden") / "ds")
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("run_id", list(golden_runs(Path("manifest.json"))))
+    def test_report_bytes(self, converted, run_id, fmt):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        args = golden_runs(converted)[run_id]
+        assert report_stdout(fmt, args) == golden[f"{run_id}/{fmt}"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = golden_reports(convert_visdrone_mini(Path(tmp) / "ds"))
+    GOLDEN.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
