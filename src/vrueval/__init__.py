@@ -28,7 +28,6 @@ from .dataset import DatasetManifest, DatasetStats, convert_dataset, dataset_sta
 from .errors import ContractError, ConversionError, ParseError, SchemaError, VruEvalError
 from .evaluate import ClassEval, EvalReport, evaluate
 from .geometry import BoundingBox, ImageDims, NormalizedBox, from_normalized, iou, to_normalized
-from .matching import MatchOutcome
 from .metrics import (
     ConfusionCounts,
     PRCurve,
@@ -57,7 +56,6 @@ __all__ = [
     "ForgettingEntry",
     "GroundTruthRecord",
     "ImageDims",
-    "MatchOutcome",
     "ModelRunRecord",
     "NormalizedBox",
     "PRCurve",

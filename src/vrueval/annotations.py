@@ -29,6 +29,7 @@ __all__ = [
     "parse_visdrone_line",
     "parse_visdrone_file",
     "parse_yolo_labels",
+    "parse_detection_rows",
     "parse_detections",
     "parse_ignore_regions",
 ]
@@ -165,8 +166,12 @@ class DetectionRecord:
     box: BoundingBox
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        _check_confidence(self.confidence)
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {confidence} outside [0, 1]")
 
 
 def parse_visdrone_line(
@@ -264,6 +269,74 @@ def parse_yolo_labels(
     return records
 
 
+def parse_detection_rows(
+    text: str,
+    dims: ImageDims,
+    num_classes: int | None = None,
+    path: str | None = None,
+) -> list[tuple[int, float, float, float, float, float]]:
+    """Parse a per-image detection file (``class confidence cx cy w h`` lines).
+
+    Returns one ``(class_id, confidence, x_min, y_min, x_max, y_max)`` row
+    per line, in file order, with the corners ``denormalize`` computes.
+    """
+    width = dims.width
+    height = dims.height
+    class_limit = float("inf") if num_classes is None else num_classes
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            token, conf, cx, cy, w, h = parts
+            class_id = int(token)
+            confidence = float(conf)
+            cx = float(cx)
+            cy = float(cy)
+            w = float(w)
+            h = float(h)
+            valid = (
+                0 <= class_id < class_limit
+                and 0.0 <= confidence <= 1.0
+                and 0.0 <= cx <= 1.0
+                and 0.0 <= cy <= 1.0
+                and 0.0 <= w <= 1.0
+                and 0.0 <= h <= 1.0
+            )
+        except ValueError:
+            valid = False
+        if not valid:  # the per-field checks raise a message naming the fault
+            rows.append(_detection_row(parts, dims, num_classes, path, lineno))
+            continue
+        # denormalize's arithmetic, without building a BoundingBox
+        half_w = w * width / 2.0
+        half_h = h * height / 2.0
+        cx = cx * width
+        cy = cy * height
+        rows.append((class_id, confidence, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+    return rows
+
+
+def _detection_row(
+    parts: list[str], dims: ImageDims, num_classes: int | None, path: str | None, lineno: int
+) -> tuple[int, float, float, float, float, float]:
+    """One detection line through the per-field checks, which name its fault."""
+    if len(parts) != 6:
+        raise ParseError(f"expected 6 fields, got {len(parts)}", path, lineno)
+    class_id = _parse_class_id(parts[0], num_classes, path, lineno)
+    try:
+        confidence = float(parts[1])
+    except ValueError:
+        raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
+    box = _parse_box(parts[2:], dims, path, lineno)
+    try:
+        _check_confidence(confidence)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno)
+    return (class_id, confidence, box.x_min, box.y_min, box.x_max, box.y_max)
+
+
 def parse_detections(
     text: str,
     dims: ImageDims,
@@ -271,25 +344,13 @@ def parse_detections(
     image_id: str = "",
     path: str | None = None,
 ) -> list[DetectionRecord]:
-    """Parse a per-image detection file (``class confidence cx cy w h`` lines)."""
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}", path, lineno)
-        class_id = _parse_class_id(parts[0], num_classes, path, lineno)
-        try:
-            confidence = float(parts[1])
-        except ValueError:
-            raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
-        box = _parse_box(parts[2:], dims, path, lineno)
-        try:
-            records.append(DetectionRecord(image_id, class_id, confidence, box))
-        except ValueError as exc:  # the record owns the confidence range check
-            raise ParseError(str(exc), path, lineno)
-    return records
+    """Records of the rows of ``parse_detection_rows``."""
+    return [
+        DetectionRecord(image_id, class_id, confidence, BoundingBox(x_min, y_min, x_max, y_max))
+        for class_id, confidence, x_min, y_min, x_max, y_max in parse_detection_rows(
+            text, dims, num_classes, path
+        )
+    ]
 
 
 def parse_ignore_regions(

@@ -8,14 +8,17 @@ column is the mean of the defined per-class APs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotations import DetectionRecord, GroundTruthRecord, parse_detections
+from .annotations import DetectionRecord, GroundTruthRecord, parse_detection_rows
 from .dataset import DatasetManifest, load_ground_truth
 from .errors import VruEvalError
+from .matching import greedy_sweep
 from .metrics import (
     ConfusionCounts,
+    PRCurve,
     average_precision,
     f1,
     mean_ap,
@@ -98,12 +101,25 @@ def evaluate_records(
     iou_thresh: float = DEFAULT_IOU_THRESH,
     conf_thresh: float = DEFAULT_CONF_THRESH,
 ) -> EvalReport:
-    """Evaluate already-loaded records (the core of ``evaluate``)."""
+    """Evaluate already-loaded records; ``evaluate`` reads rows from files."""
+    curves = [pr_curve(gts, dets, class_id, iou_thresh) for class_id in range(len(class_names))]
+    return _report(curves, class_names, total_images, iou_thresh, conf_thresh)
+
+
+def _report(
+    curves: list[PRCurve],
+    class_names: tuple[str, ...],
+    total_images: int,
+    iou_thresh: float,
+    conf_thresh: float,
+    notes: tuple[str, ...] = (),
+) -> EvalReport:
+    """The report of one sweep per class; ``notes`` follow the mAP warnings."""
     aps: dict[int, float | None] = {}
     counts = []
     class_rows = []
-    for class_id, name in enumerate(class_names):
-        curve = pr_curve(gts, dets, class_id, iou_thresh)
+    for curve, name in zip(curves, class_names):
+        class_id = curve.class_id
         aps[class_id] = average_precision(curve)
         c = curve.counts_at(conf_thresh)
         counts.append(c)
@@ -144,8 +160,17 @@ def evaluate_records(
         all_row=all_row,
         iou_thresh=iou_thresh,
         conf_thresh=conf_thresh,
-        warnings=warnings,
+        warnings=warnings + notes,
     )
+
+
+def _listed_files(directory: Path) -> set[str]:
+    """Names of the regular files in ``directory``; none when it is absent."""
+    try:
+        with os.scandir(directory) as entries:
+            return {entry.name for entry in entries if entry.is_file()}
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
 
 
 def evaluate(
@@ -157,32 +182,47 @@ def evaluate(
     """Evaluate a detection directory against a converted dataset.
 
     Every manifest image must have a detection file ``<image_id>.txt``
-    (possibly empty) under ``detections_dir``.
+    (possibly empty) under ``detections_dir``; other ``*.txt`` files there
+    are reported in one warning and not evaluated. Detections are read as
+    rows, never as records.
     """
     detections_dir = Path(detections_dir)
-    missing = [
-        img.image_id
-        for img in manifest.images
-        if not (detections_dir / f"{img.image_id}.txt").is_file()
-    ]
+    listed = _listed_files(detections_dir)
+    wanted = {f"{img.image_id}.txt" for img in manifest.images}
+    missing = [img.image_id for img in manifest.images if f"{img.image_id}.txt" not in listed]
     if missing:
         raise VruEvalError(
             "missing detection files for image ids: " + ", ".join(sorted(missing))
         )
-    gts: list[GroundTruthRecord] = []
-    dets: list[DetectionRecord] = []
+    stray = sorted(name for name in listed - wanted if name.endswith(".txt"))
+    k = len(manifest.class_names)
+    rows: list[list] = [[] for _ in range(k)]
+    truths: list[dict] = [{} for _ in range(k)]
     for img in manifest.images:
-        gts.extend(load_ground_truth(manifest, img))
-        det_path = detections_dir / f"{img.image_id}.txt"
-        dets.extend(
-            parse_detections(
-                det_path.read_text(encoding="utf-8"),
-                img.dims,
-                len(manifest.class_names),
-                img.image_id,
-                str(det_path),
-            )
+        image_id = img.image_id
+        scorable: list[list] = [[] for _ in range(k)]
+        ignored = []
+        for gt in load_ground_truth(manifest, img):
+            b = gt.box
+            corners = (b.x_min, b.y_min, b.x_max, b.y_max)
+            (ignored if gt.ignore else scorable[gt.class_id]).append(corners)
+        for class_id in range(k):
+            truths[class_id][image_id] = (scorable[class_id], ignored)
+        det_path = detections_dir / f"{image_id}.txt"
+        for class_id, confidence, x_min, y_min, x_max, y_max in parse_detection_rows(
+            det_path.read_text(encoding="utf-8"), img.dims, k, str(det_path)
+        ):
+            rows[class_id].append((image_id, confidence, x_min, y_min, x_max, y_max))
+    curves = [
+        PRCurve(class_id, *greedy_sweep(rows[class_id], truths[class_id], iou_thresh))
+        for class_id in range(k)
+    ]
+    notes = ()
+    if stray:
+        notes = (
+            f"{len(stray)} detection files in {detections_dir} belong to no manifest image "
+            f"(first: {stray[0]}); not evaluated",
         )
-    return evaluate_records(
-        gts, dets, manifest.class_names, len(manifest.images), iou_thresh, conf_thresh
+    return _report(
+        curves, manifest.class_names, len(manifest.images), iou_thresh, conf_thresh, notes
     )

@@ -16,6 +16,7 @@ __all__ = [
     "BoundingBox",
     "NormalizedBox",
     "iou",
+    "corner_iou",
     "check_normalized",
     "to_normalized",
     "from_normalized",
@@ -90,16 +91,34 @@ def check_normalized(cx: float, cy: float, w: float, h: float) -> None:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0.0 when the union is empty."""
-    ix_min = max(a.x_min, b.x_min)
-    iy_min = max(a.y_min, b.y_min)
-    ix_max = min(a.x_max, b.x_max)
-    iy_max = min(a.y_max, b.y_max)
+    return corner_iou(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
+
+
+def corner_iou(
+    ax_min: float,
+    ay_min: float,
+    ax_max: float,
+    ay_max: float,
+    bx_min: float,
+    by_min: float,
+    bx_max: float,
+    by_max: float,
+) -> float:
+    """IoU of two boxes given as corners: the one IoU arithmetic.
+
+    The areas are computed as ``BoundingBox.area`` computes them, and the
+    union is ``a_area + b_area - inter``.
+    """
+    ix_min = max(ax_min, bx_min)
+    iy_min = max(ay_min, by_min)
+    ix_max = min(ax_max, bx_max)
+    iy_max = min(ay_max, by_max)
     iw = ix_max - ix_min
     ih = iy_max - iy_min
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ax_max - ax_min) * (ay_max - ay_min) + (bx_max - bx_min) * (by_max - by_min) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

@@ -1,13 +1,13 @@
-"""Greedy detection-to-ground-truth matching for one image and class.
+"""Greedy detection-to-ground-truth matching: one ranked sweep per class.
 
-Protocol: detections are processed in strictly descending confidence
-(ties broken by ascending input order). Each detection claims the
-still-unmatched, non-ignored ground truth with the highest IoU, provided
-that IoU meets the threshold; IoU ties go to the lowest ground-truth
-index. A detection that cannot claim a ground truth but overlaps an
-ignore region at or above the threshold is suppressed -- neither TP nor
-FP. Everything else is a false positive, and unmatched non-ignored
-ground truths are false negatives.
+Protocol: a class's detections are ranked across all images in strictly
+descending confidence (ties broken by ascending input order) and matched
+in that order. Each detection claims the still-unmatched ground truth of
+its image and class with the highest IoU, provided that IoU meets the
+threshold; IoU ties go to the lowest ground-truth index. A detection that
+cannot claim a ground truth but overlaps an ignore region of its image at
+or above the threshold is suppressed -- neither TP nor FP. Everything else
+is a false positive, and unmatched ground truths are false negatives.
 
 Before the exact IoU, a ground truth or ignore region whose box is
 disjoint from the detection's or only touches it along an edge or corner
@@ -19,75 +19,75 @@ tie-break is the same as when every pair is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import Hashable, Mapping
 
-from .annotations import DetectionRecord, GroundTruthRecord
 from .errors import ContractError
-from .geometry import iou
+from .geometry import corner_iou
 
-__all__ = ["MatchOutcome", "GreedyMatcher"]
+__all__ = ["greedy_sweep"]
 
-
-@dataclass(frozen=True)
-class MatchOutcome:
-    """Fate of one detection. ``suppressed`` marks ignore-region overlap."""
-
-    detection: DetectionRecord
-    matched: GroundTruthRecord | None
-    iou: float
-    suppressed: bool = False
-
-    @property
-    def is_tp(self) -> bool:
-        return self.matched is not None
-
-    @property
-    def is_fp(self) -> bool:
-        return self.matched is None and not self.suppressed
+Corners = tuple[float, float, float, float]
+# (image key, confidence, x_min, y_min, x_max, y_max)
+Row = tuple[Hashable, float, float, float, float, float]
 
 
-class GreedyMatcher:
-    """Incremental matcher holding the consumed-ground-truth state.
+def greedy_sweep(
+    rows: list[Row],
+    truths: Mapping[Hashable, tuple[list[Corners], list[Corners]]],
+    iou_thresh: float,
+) -> tuple[tuple[tuple[float, float], ...], int, tuple[float, ...], int]:
+    """Match one class's detection rows, given in input order.
 
-    Feed one image's detections of one class in descending confidence;
-    each ``feed`` call returns that detection's MatchOutcome. ``pr_curve``
-    holds one matcher per image and feeds it in the dataset-wide ranking.
+    ``truths[image]`` holds the ``(x_min, y_min, x_max, y_max)`` corners of
+    that image's scorable ground truths of the class and of its ignore
+    regions; an image without an entry has neither. Returns the fields of
+    ``PRCurve`` after the class id: one cumulative (recall, precision)
+    point per detection that is not suppressed, the number of positives,
+    each point's confidence, and the number of images with a positive.
     """
-
-    def __init__(self, gts: list[GroundTruthRecord], iou_thresh: float):
-        if not 0.0 < iou_thresh <= 1.0:
-            raise ContractError(f"iou threshold {iou_thresh} outside (0, 1]")
-        self.scorable = [g for g in gts if not g.ignore]
-        self.ignored = [g for g in gts if g.ignore]
-        self.iou_thresh = iou_thresh
-        self._taken = [False] * len(self.scorable)
-
-    def feed(self, det: DetectionRecord) -> MatchOutcome:
-        box = det.box
-        x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+    if not 0.0 < iou_thresh <= 1.0:
+        raise ContractError(f"iou threshold {iou_thresh} outside (0, 1]")
+    # per image: its unmatched ground truths in index order, and its ignore regions
+    state = {image: (list(scorable), regions) for image, (scorable, regions) in truths.items()}
+    n_positives = sum(len(scorable) for scorable, _ in state.values())
+    n_images = sum(1 for scorable, _ in state.values() if scorable)
+    positives = n_positives or 1  # with no positives, recall is 0 / 1
+    nothing = ((), ())
+    points = []
+    confidences = []
+    tp = fp = 0
+    # a stable sort: confidence ties keep input order
+    for image, confidence, x_min, y_min, x_max, y_max in sorted(
+        rows, key=itemgetter(1), reverse=True
+    ):
+        candidates, regions = state.get(image, nothing)
         best_iou = 0.0
-        best_idx = -1
-        for idx, gt in enumerate(self.scorable):
-            if self._taken[idx]:
-                continue
-            g = gt.box
-            if g.x_min >= x_max or g.x_max <= x_min or g.y_min >= y_max or g.y_max <= y_min:
+        best = -1
+        for pos, (gx_min, gy_min, gx_max, gy_max) in enumerate(candidates):
+            if gx_min >= x_max or gx_max <= x_min or gy_min >= y_max or gy_max <= y_min:
                 continue  # disjoint or touching: IoU 0.0
-            overlap = iou(box, g)
+            overlap = corner_iou(x_min, y_min, x_max, y_max, gx_min, gy_min, gx_max, gy_max)
             if overlap > best_iou:  # strict: IoU ties keep the lowest index
                 best_iou = overlap
-                best_idx = idx
-        if best_idx >= 0 and best_iou >= self.iou_thresh:
-            self._taken[best_idx] = True
-            return MatchOutcome(det, self.scorable[best_idx], best_iou)
-        ignore_iou = 0.0
-        for region in self.ignored:
-            g = region.box
-            if g.x_min >= x_max or g.x_max <= x_min or g.y_min >= y_max or g.y_max <= y_min:
-                continue
-            overlap = iou(box, g)
-            if overlap > ignore_iou:
-                ignore_iou = overlap
-        if ignore_iou >= self.iou_thresh:
-            return MatchOutcome(det, None, ignore_iou, suppressed=True)
-        return MatchOutcome(det, None, best_iou)
+                best = pos
+        if best >= 0 and best_iou >= iou_thresh:
+            del candidates[best]
+            tp += 1
+        elif regions and _reaches(x_min, y_min, x_max, y_max, regions, iou_thresh):
+            continue  # suppressed by an ignore region: no point
+        else:
+            fp += 1
+        points.append((tp / positives, tp / (tp + fp)))
+        confidences.append(confidence)
+    return tuple(points), n_positives, tuple(confidences), n_images
+
+
+def _reaches(x_min, y_min, x_max, y_max, regions: list[Corners], iou_thresh: float) -> bool:
+    """Whether the box has an IoU of at least ``iou_thresh`` with any region."""
+    for gx_min, gy_min, gx_max, gy_max in regions:
+        if gx_min >= x_max or gx_max <= x_min or gy_min >= y_max or gy_max <= y_min:
+            continue  # disjoint or touching: IoU 0.0
+        if corner_iou(x_min, y_min, x_max, y_max, gx_min, gy_min, gx_max, gy_max) >= iou_thresh:
+            return True
+    return False

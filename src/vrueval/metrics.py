@@ -11,13 +11,12 @@ envelope, accumulated over distinct recall steps.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import neg
 
 from .annotations import DetectionRecord, GroundTruthRecord
 from .errors import VruEvalError
-from .matching import GreedyMatcher
+from .matching import greedy_sweep
 
 __all__ = [
     "ConfusionCounts",
@@ -99,36 +98,18 @@ def pr_curve(
     contributes one cumulative point unless it is suppressed by an ignore
     region. Ignore records are class-agnostic.
     """
-    gts_by_image = defaultdict(list)
+    truths: dict[str, tuple[list, list]] = {}
     for gt in gts:
         if gt.ignore or gt.class_id == class_id:
-            gts_by_image[gt.image_id].append(gt)
-    matchers = {
-        image_id: GreedyMatcher(image_gts, iou_thresh)
-        for image_id, image_gts in gts_by_image.items()
-    }
-    n_positives = sum(len(m.scorable) for m in matchers.values())
-    n_images = sum(1 for m in matchers.values() if m.scorable)
-    ranked = sorted((d for d in dets if d.class_id == class_id), key=lambda d: -d.confidence)
-    points = []
-    confidences = []
-    tp = fp = 0
-    for det in ranked:
-        matcher = matchers.get(det.image_id)
-        if matcher is None:
-            matcher = matchers[det.image_id] = GreedyMatcher([], iou_thresh)
-        outcome = matcher.feed(det)
-        if outcome.suppressed:
-            continue
-        if outcome.is_tp:
-            tp += 1
-        else:
-            fp += 1
-        r = tp / n_positives if n_positives else 0.0
-        p = tp / (tp + fp)
-        points.append((r, p))
-        confidences.append(det.confidence)
-    return PRCurve(class_id, tuple(points), n_positives, tuple(confidences), n_images)
+            b = gt.box
+            corners = (b.x_min, b.y_min, b.x_max, b.y_max)
+            truths.setdefault(gt.image_id, ([], []))[gt.ignore].append(corners)
+    rows = [
+        (d.image_id, d.confidence, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
+        for d in dets
+        if d.class_id == class_id
+    ]
+    return PRCurve(class_id, *greedy_sweep(rows, truths, iou_thresh))
 
 
 def confusion_at_threshold(

@@ -54,6 +54,17 @@ def random_box(rng: random.Random, span: float = 100.0) -> tuple:
     return (x0, y0, x0 + w, y0 + h)
 
 
+def grid_box(rng: random.Random) -> tuple:
+    """Integer boxes in a 6x6 arena, up to 2 units a side.
+
+    Touching edges, shared corners, identical and zero-area boxes, and IoU
+    exactly 0.5 are all frequent here.
+    """
+    x0 = rng.randrange(0, 5)
+    y0 = rng.randrange(0, 5)
+    return (x0, y0, x0 + rng.randrange(0, 3), y0 + rng.randrange(0, 3))
+
+
 def random_instance(
     rng: random.Random,
     max_gts: int = 8,

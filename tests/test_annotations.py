@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from vrueval.annotations import (
     IGNORE_CLASS_ID,
     ClassMap,
+    parse_detection_rows,
     parse_detections,
     parse_ignore_regions,
     parse_visdrone_line,
     parse_yolo_labels,
 )
 from vrueval.errors import ParseError, SchemaError
-from vrueval.geometry import BoundingBox, ImageDims
+from vrueval.geometry import BoundingBox, ImageDims, denormalize
 
 VRU_MAP = ClassMap.visdrone_default()
 
@@ -206,3 +209,14 @@ def test_nan_confidence_rejected():
     with pytest.raises(ParseError) as info:
         parse_detections("0 nan 0.5 0.5 0.2 0.2\n", ImageDims(100, 100), path="f.txt")
     assert str(info.value) == "f.txt:1: confidence nan outside [0, 1]"
+
+
+def test_detection_rows_use_denormalize_arithmetic():
+    rng = random.Random(5)
+    for _ in range(500):
+        dims = ImageDims(rng.randint(1, 4000), rng.randint(1, 4000))
+        cx, cy, w, h = (rng.random() for _ in range(4))
+        confidence = rng.random()
+        [row] = parse_detection_rows(f"3 {confidence!r} {cx!r} {cy!r} {w!r} {h!r}\n", dims, 4)
+        box = denormalize(cx, cy, w, h, dims)
+        assert row == (3, confidence, box.x_min, box.y_min, box.x_max, box.y_max)

@@ -1,15 +1,18 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from helpers import fixtures_root
-from vrueval.annotations import ClassMap
+from test_annotations import BOX_ERRORS, LINE_PARSERS
+from vrueval.annotations import ClassMap, parse_detections, parse_ignore_regions, parse_yolo_labels
 from vrueval.cli import OUTPUT_FORMATS, main
-from vrueval.dataset import convert_dataset
+from vrueval.dataset import convert_dataset, load_manifest
+from vrueval.errors import ParseError
 
 FIXTURES = fixtures_root()
 DATA = Path(__file__).parents[1] / "data"
@@ -212,6 +215,60 @@ class TestEvalCommand:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == stdout
+
+    def test_stray_detection_file_warned(self, capsys, tmp_path):
+        dets = tmp_path / "dets"
+        shutil.copytree(MICRO / "detections", dets)
+        (dets / "zzz.txt").write_text("0 0.9 0.5 0.5 0.2 0.2\n")
+        code, stdout, stderr = run(
+            capsys, "--format", "structured", "eval", MICRO / "manifest.json", dets
+        )
+        message = f"1 detection files in {dets} belong to no manifest image (first: zzz.txt); " \
+            "not evaluated"
+        assert code == 0
+        assert json.loads(stdout)["warnings"] == [message]
+        assert stderr == f"warning: {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            (kind, LINE_PARSERS[kind][1] + box)
+            for kind in sorted(LINE_PARSERS)
+            for box, _ in BOX_ERRORS
+        ]
+        + [
+            ("detection", "0 0.9 0.5 0.5 0.2"),
+            ("detection", "2 0.9 0.5 0.5 0.2 0.2"),
+            ("detection", "a 0.9 0.5 0.5 0.2 0.2"),
+            ("detection", "0 1.5 0.5 0.5 0.2 0.2"),
+            ("detection", "0 high 0.5 0.5 0.2 0.2"),
+        ],
+    )
+    def test_bad_line_fails_as_its_parser_reports(self, capsys, tmp_path, kind, line):
+        root = tmp_path / "micro"
+        shutil.copytree(MICRO, root)
+        manifest = load_manifest(root / "manifest.json")
+        img = manifest.images[0]  # it has labels, ignore regions and detections
+        path, parse = {
+            "detection": (
+                root / "detections" / f"{img.image_id}.txt",
+                lambda text, path: parse_detections(text, img.dims, 2, img.image_id, path),
+            ),
+            "label": (
+                manifest.label_file(img),
+                lambda text, path: parse_yolo_labels(text, img.dims, 2, img.image_id, path),
+            ),
+            "ignore": (
+                manifest.ignore_file(img),
+                lambda text, path: parse_ignore_regions(text, img.dims, img.image_id, path),
+            ),
+        }[kind]
+        text = path.read_text() + line + "\n"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse(text, str(path))
+        code, stdout, stderr = run(capsys, "eval", root / "manifest.json", root / "detections")
+        assert (code, stdout, stderr) == (2, "", f"error: {info.value}\n")
 
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(

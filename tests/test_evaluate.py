@@ -1,7 +1,10 @@
 import json
+import random
+import shutil
+
 import pytest
 
-from helpers import fixtures_root, to_oracle_det, to_oracle_gt
+from helpers import fixtures_root, grid_box, random_box, to_oracle_det, to_oracle_gt
 from oracle import evaluation_report
 from vrueval.annotations import parse_detections
 from vrueval.dataset import load_ground_truth, load_manifest
@@ -162,3 +165,83 @@ def test_zero_instance_class_warned(tmp_path):
     assert report.all_row.ap == 1.0  # mean over the single defined class
     assert any("c1" in w for w in report.warnings)
     assert report.classes[1].ap is None
+
+
+def write_random_dataset(rng, root, box, width, height):
+    """A random two-class dataset on disk: manifest, labels, sidecars, detections.
+
+    Confidences come from four values, so ties are frequent.
+    """
+
+    def norm(b):
+        x0, y0, x1, y1 = b
+        return f"{(x0 + x1) / (2 * width)!r} {(y0 + y1) / (2 * height)!r} " \
+            f"{(x1 - x0) / width!r} {(y1 - y0) / height!r}"
+
+    (root / "labels").mkdir(parents=True)
+    (root / "dets").mkdir()
+    images = []
+    for i in range(rng.randint(1, 3)):
+        image_id = f"im{i}"
+        labels = [f"{rng.randint(0, 1)} {norm(box(rng))}\n" for _ in range(rng.randint(0, 6))]
+        if i == 0:
+            labels.append(f"0 {norm(box(rng))}\n")  # at least one scorable class
+        (root / "labels" / f"{image_id}.txt").write_text("".join(labels))
+        regions = [f"{norm(box(rng))}\n" for _ in range(rng.choice((0, 0, 1, 2)))]
+        if regions:
+            (root / "labels" / f"{image_id}.ignore").write_text("".join(regions))
+        dets = [
+            f"{rng.randint(0, 1)} {rng.choice((0.25, 0.5, 0.75, 1.0))} {norm(box(rng))}\n"
+            for _ in range(rng.randint(0, 12))
+        ]
+        (root / "dets" / f"{image_id}.txt").write_text("".join(dets))
+        images.append(
+            {"image_id": image_id, "width": width, "height": height,
+             "label_path": f"labels/{image_id}.txt"}
+        )
+    (root / "manifest.json").write_text(
+        json.dumps({"split": "t", "class_names": ["c0", "c1"], "images": images})
+    )
+    return load_manifest(root / "manifest.json")
+
+
+@pytest.mark.parametrize("box, width, height", [(random_box, 100, 100), (grid_box, 6, 6)])
+def test_rows_path_equals_records_path_and_oracle(tmp_path, box, width, height):
+    rng = random.Random(2024)
+    for n in range(60):
+        root = tmp_path / str(n)
+        manifest = write_random_dataset(rng, root, box, width, height)
+        gts, dets = [], []
+        for img in manifest.images:
+            gts.extend(load_ground_truth(manifest, img))
+            text = (root / "dets" / f"{img.image_id}.txt").read_text()
+            dets.extend(parse_detections(text, img.dims, 2, img.image_id))
+        conf_thresh = (0.0, 0.5, 0.75)[n % 3]
+        report = evaluate(manifest, root / "dets", 0.5, conf_thresh)
+        n_images = len(manifest.images)
+        assert report == evaluate_records(
+            gts, dets, manifest.class_names, n_images, 0.5, conf_thresh
+        )
+        assert report.to_dict() == evaluation_report(
+            [to_oracle_gt(g) for g in gts],
+            [to_oracle_det(d) for d in dets],
+            manifest.class_names,
+            n_images,
+            0.5,
+            conf_thresh,
+        )
+
+
+def test_stray_detection_files_warned(micro_manifest, tmp_path):
+    det_dir = tmp_path / "dets"
+    shutil.copytree(MICRO / "detections", det_dir)
+    (det_dir / "zzz.txt").write_text("0 0.5 0.5 0.5 0.1 0.1\n")
+    (det_dir / "aaa.txt").write_text("")
+    (det_dir / "notes.md").write_text("")
+    (det_dir / "sub.txt").mkdir()
+    report = evaluate(micro_manifest, det_dir)
+    assert report.warnings == (
+        f"2 detection files in {det_dir} belong to no manifest image (first: aaa.txt); "
+        "not evaluated",
+    )
+    assert report.classes == evaluate(micro_manifest, MICRO / "detections").classes

@@ -3,50 +3,103 @@ import random
 import pytest
 
 import vrueval.matching
-from helpers import det, gt, random_box, random_instance, to_oracle_det, to_oracle_gt
+from helpers import (
+    det,
+    grid_box,
+    gt,
+    random_box,
+    random_instance,
+    to_oracle_det,
+    to_oracle_gt,
+)
 from oracle import greedy_match_image, rank
 from vrueval.errors import ContractError
-from vrueval.matching import GreedyMatcher
+from vrueval.geometry import BoundingBox, iou
+from vrueval.matching import greedy_sweep
 from vrueval.metrics import pr_curve
 
 
-def match_ranked(gts, ranked_dets, iou_thresh):
-    """Feed one image's detections, already in rank order, to one matcher."""
-    matcher = GreedyMatcher(gts, iou_thresh)
-    return [matcher.feed(d) for d in ranked_dets]
+def corners(box):
+    return (box.x_min, box.y_min, box.x_max, box.y_max)
+
+
+def sweep_inputs(gts, dets):
+    """Sweep rows and truths of records whose scorable ground truths share one class."""
+    truths = {}
+    for g in gts:
+        truths.setdefault(g.image_id, ([], []))[g.ignore].append(corners(g.box))
+    rows = [(d.image_id, d.confidence, *corners(d.box)) for d in dets]
+    return rows, truths
+
+
+def fates(gts, ranked_dets, iou_thresh=0.5):
+    """Fate of each detection, given in rank order: 'tp', 'fp' or 'ignored'.
+
+    The k-th fate compares the sweeps of the top k-1 and the top k rows;
+    a suppressed detection adds no point.
+    """
+    rows, truths = sweep_inputs(gts, ranked_dets)
+    labels = []
+    before = (0, 0)
+    for k in range(1, len(rows) + 1):
+        points = greedy_sweep(rows[:k], truths, iou_thresh)[0]
+        n = len(points)
+        tp = round(points[-1][1] * n) if n else 0
+        after = (tp, n - tp)
+        if after == before:
+            labels.append("ignored")
+        else:
+            labels.append("tp" if tp > before[0] else "fp")
+        before = after
+    return labels
+
+
+@pytest.fixture
+def iou_calls(monkeypatch):
+    """(corner arguments, IoU) of every IoU the sweep computes."""
+    real_iou = vrueval.matching.corner_iou
+    calls = []
+
+    def recording_iou(*args):
+        value = real_iou(*args)
+        calls.append((args, value))
+        return value
+
+    monkeypatch.setattr(vrueval.matching, "corner_iou", recording_iou)
+    return calls
 
 
 class TestProtocol:
-    def test_perfect_detection(self):
-        outcomes = match_ranked([gt()], [det()], 0.5)
-        assert len(outcomes) == 1
-        assert outcomes[0].is_tp
-        assert outcomes[0].iou == 1.0
+    def test_perfect_detection(self, iou_calls):
+        assert fates([gt()], [det()]) == ["tp"]
+        assert iou_calls == [((0.0, 0.0, 10.0, 10.0) * 2, 1.0)]
 
-    def test_higher_confidence_consumes_ground_truth(self):
+    def test_higher_confidence_consumes_ground_truth(self, iou_calls):
         # A at IoU 0.6 outranks B at IoU 0.55; the single GT goes to A
         ground = gt(box=(0, 0, 10, 10))
         a = det(confidence=0.9, box=(0, 0, 10, 6))
         b = det(confidence=0.8, box=(0, 0, 10, 5.5))
-        outcomes = match_ranked([ground], [a, b], 0.5)
-        assert outcomes[0].detection is a and outcomes[0].is_tp
-        assert outcomes[0].iou == pytest.approx(0.6)
-        assert outcomes[1].detection is b and outcomes[1].is_fp
+        rows, truths = sweep_inputs([ground], [b, a])  # the sweep ranks them
+        points = greedy_sweep(rows, truths, 0.5)[0]
+        assert points == ((1.0, 1.0), (1.0, 0.5))
+        assert [value for _, value in iou_calls] == [pytest.approx(0.6)]
 
     def test_highest_iou_selected(self):
-        gt1 = gt(box=(0, 0, 10, 7))     # IoU 0.7 with the detection
+        gt1 = gt(box=(0, 0, 10, 7))     # IoU 0.7 with the first detection
         gt2 = gt(box=(0, 4, 10, 10))    # IoU 0.6
-        outcomes = match_ranked([gt1, gt2], [det(box=(0, 0, 10, 10))], 0.5)
-        assert outcomes[0].matched is gt1
+        # the followers are exact copies of gt2 and gt1 (IoU 0.3 with the other)
+        dets = [det(box=(0, 0, 10, 10)), det(box=(0, 4, 10, 10)), det(box=(0, 0, 10, 7))]
+        assert fates([gt1, gt2], dets) == ["tp", "tp", "fp"]
 
     def test_iou_tie_takes_lowest_index(self):
         gt1 = gt(box=(0, 0, 10, 5))
         gt2 = gt(box=(0, 5, 10, 10))
-        outcomes = match_ranked([gt1, gt2], [det(box=(0, 0, 10, 10))], 0.5)
-        assert outcomes[0].matched is gt1
+        # IoU 0.5 with both; the followers are exact copies of gt2 and gt1
+        dets = [det(box=(0, 0, 10, 10)), det(box=(0, 5, 10, 10)), det(box=(0, 0, 10, 5))]
+        assert fates([gt1, gt2], dets) == ["tp", "tp", "fp"]
 
     def test_confidence_tie_keeps_input_order(self):
-        # pr_curve owns the ranking: of two tied detections the first in input
+        # the sweep owns the ranking: of two tied detections the first in input
         # order takes the GT. A second `loose` is suppressed by the region and
         # adds no point; a second `exact` is a false positive.
         region = gt(class_id=-1, box=(5, 0, 15, 10), ignore=True)
@@ -62,25 +115,19 @@ class TestProtocol:
     def test_duplicates_yield_single_tp(self):
         ground = gt(box=(0, 0, 10, 10))
         dups = [det(confidence=0.9 - i * 0.1, box=(0, 0, 10, 10)) for i in range(4)]
-        outcomes = match_ranked([ground], dups, 0.5)
-        assert sum(o.is_tp for o in outcomes) == 1
-        assert sum(o.is_fp for o in outcomes) == 3
+        assert fates([ground], dups) == ["tp", "fp", "fp", "fp"]
 
     def test_below_threshold_is_fp(self):
-        outcomes = match_ranked([gt(box=(0, 0, 10, 10))], [det(box=(0, 0, 10, 4))], 0.5)
-        assert outcomes[0].is_fp
+        assert fates([gt(box=(0, 0, 10, 10))], [det(box=(0, 0, 10, 4))]) == ["fp"]
 
     def test_ignore_region_suppresses(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
-        outcomes = match_ranked([region], [det(box=(1, 1, 9, 9))], 0.5)
-        assert outcomes[0].suppressed
-        assert not outcomes[0].is_tp and not outcomes[0].is_fp
+        assert fates([region], [det(box=(1, 1, 9, 9))]) == ["ignored"]
 
     def test_real_match_preferred_over_ignore(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         real = gt(box=(0, 0, 10, 8))
-        outcomes = match_ranked([region, real], [det(box=(0, 0, 10, 10))], 0.5)
-        assert outcomes[0].matched is real
+        assert fates([region, real], [det(box=(0, 0, 10, 10))]) == ["tp"]
 
     def test_consumed_gt_then_ignore_overlap(self):
         # second duplicate cannot take the consumed GT but overlaps the ignore region
@@ -88,14 +135,15 @@ class TestProtocol:
         real = gt(box=(0, 0, 10, 10))
         d1 = det(confidence=0.9)
         d2 = det(confidence=0.8)
-        outcomes = match_ranked([region, real], [d1, d2], 0.5)
-        assert outcomes[0].is_tp
-        assert outcomes[1].suppressed
+        assert fates([region, real], [d1, d2]) == ["tp", "ignored"]
 
     def test_low_ignore_overlap_is_fp(self):
         region = gt(class_id=-1, box=(0, 0, 10, 4), ignore=True)
-        outcomes = match_ranked([region], [det(box=(0, 0, 10, 10))], 0.5)
-        assert outcomes[0].is_fp
+        assert fates([region], [det(box=(0, 0, 10, 10))]) == ["fp"]
+
+    def test_ground_truths_stay_in_their_image(self):
+        dets = [det("a", box=(0, 0, 10, 10)), det("b", box=(0, 0, 10, 10))]
+        assert fates([gt("a")], dets) == ["tp", "fp"]
 
 
 class TestContracts:
@@ -109,24 +157,12 @@ class TestContracts:
 
     def test_threshold_range(self):
         with pytest.raises(ContractError):
-            GreedyMatcher([], 0.0)
+            greedy_sweep([], {}, 0.0)
         with pytest.raises(ContractError):
-            GreedyMatcher([], 1.5)
+            greedy_sweep([], {}, 1.5)
 
 
-def fate(outcome):
-    return "tp" if outcome.is_tp else ("ignored" if outcome.suppressed else "fp")
-
-
-def test_iou_runs_only_for_overlapping_pairs(monkeypatch):
-    real_iou = vrueval.matching.iou
-    calls = []
-
-    def counting_iou(a, b):
-        calls.append((a, b))
-        return real_iou(a, b)
-
-    monkeypatch.setattr(vrueval.matching, "iou", counting_iou)
+def test_iou_runs_only_for_overlapping_pairs(iou_calls):
     ground = gt(box=(10, 10, 20, 20))
     region = gt(class_id=-1, box=(40, 10, 50, 20), ignore=True)
     boxes = [
@@ -139,21 +175,14 @@ def test_iou_runs_only_for_overlapping_pairs(monkeypatch):
         (41, 11, 49, 19),  # overlaps the region: IoU 0.64
     ]
     dets = [det(confidence=0.9 - i * 0.1, box=b) for i, b in enumerate(boxes)]
-    outcomes = match_ranked([ground, region], dets, 0.5)
-    assert [fate(o) for o in outcomes] == ["fp"] * 5 + ["tp", "ignored"]
-    assert [o.iou for o in outcomes] == [0.0] * 5 + [pytest.approx(0.9), pytest.approx(0.64)]
-    assert calls == [(dets[5].box, ground.box), (dets[6].box, region.box)]
-
-
-def grid_box(rng: random.Random) -> tuple:
-    """Integer boxes in a 6x6 arena, up to 2 units a side.
-
-    Touching edges, shared corners, identical and zero-area boxes, and IoU
-    exactly 0.5 are all frequent here.
-    """
-    x0 = rng.randrange(0, 5)
-    y0 = rng.randrange(0, 5)
-    return (x0, y0, x0 + rng.randrange(0, 3), y0 + rng.randrange(0, 3))
+    rows, truths = sweep_inputs([ground, region], dets)
+    points = greedy_sweep(rows, truths, 0.5)[0]
+    # five false positives, a true positive, and a suppressed detection
+    assert points == ((0.0, 0.0),) * 5 + ((1.0, 1 / 6),)
+    assert iou_calls == [
+        (corners(dets[5].box) + corners(ground.box), pytest.approx(0.9)),
+        (corners(dets[6].box) + corners(region.box), pytest.approx(0.64)),
+    ]
 
 
 def test_matches_oracle_on_random_instances():
@@ -163,10 +192,50 @@ def test_matches_oracle_on_random_instances():
             gts, dets = random_instance(rng, n_images=1, with_ignores=True, box=box)
             odets = [to_oracle_det(d) for d in dets]
             order = rank(odets)
-            outcomes = match_ranked(gts, [dets[i] for i in order], 0.5)
             for d in odets:
                 d["_thresh"] = 0.5
             expected = greedy_match_image(
                 [to_oracle_gt(g) for g in gts], [odets[i] for i in order]
             )
-            assert [fate(o) for o in outcomes] == expected
+            assert fates(gts, [dets[i] for i in order]) == expected
+
+
+def reference_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """IoU in the operation order the matcher has always used."""
+    ix_min = max(a.x_min, b.x_min)
+    iy_min = max(a.y_min, b.y_min)
+    ix_max = min(a.x_max, b.x_max)
+    iy_max = min(a.y_max, b.y_max)
+    iw = ix_max - ix_min
+    ih = iy_max - iy_min
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def float_box(rng: random.Random) -> tuple:
+    """Boxes with full-precision coordinates, where rounding shows."""
+    x0 = rng.uniform(0.0, 50.0)
+    y0 = rng.uniform(0.0, 50.0)
+    return (x0, y0, x0 + rng.uniform(0.0, 20.0), y0 + rng.uniform(0.0, 20.0))
+
+
+def test_sweep_iou_equals_geometry_iou(iou_calls):
+    seen = 0
+    for box in (random_box, grid_box, float_box):
+        rng = random.Random(77)
+        for _ in range(300):
+            gts, dets = random_instance(rng, n_images=2, with_ignores=True, box=box)
+            greedy_sweep(*sweep_inputs(gts, dets), 0.5)
+            for args, value in iou_calls:
+                a, b = BoundingBox(*args[:4]), BoundingBox(*args[4:])
+                assert value == iou(a, b) == reference_iou(a, b)
+            seen += len(iou_calls)
+            iou_calls.clear()
+            a, b = BoundingBox(*map(float, box(rng))), BoundingBox(*map(float, box(rng)))
+            assert iou(a, b) == reference_iou(a, b)
+    assert seen > 1000
