@@ -243,9 +243,10 @@ def convert_dataset(
     Runs in two phases: every image is read, remapped and rendered first,
     and only then are the label files, sidecars, dimension index,
     descriptor and manifest written, so a convert that raises writes
-    nothing. ``warn`` receives human-readable warning strings as they
-    arise (missing annotation files become warnings plus empty label
-    files). ``workers`` is deprecated and has no effect.
+    nothing. ``warn`` receives human-readable warning strings (missing
+    annotation files become warnings plus empty label files); those of
+    the read phase are held until it has succeeded, so a convert that
+    raises emits none. ``workers`` is deprecated and has no effect.
     """
     src = Path(src)
     out = Path(out)
@@ -268,6 +269,7 @@ def convert_dataset(
 
     # phase 1: read, remap and render every image; nothing is written yet
     rendered = []
+    held = []  # warnings of phase 1, emitted once it has succeeded
     for image_id in image_ids:
         if image_id not in dim_index:
             raise ConversionError(f"no dimension entry for image {image_id!r}")
@@ -275,7 +277,7 @@ def convert_dataset(
         if source_format == "visdrone":
             ann_path = src / "annotations" / f"{image_id}.txt"
             if not ann_path.is_file():
-                warn(f"missing annotation for {image_id!r}; writing empty label file")
+                held.append(f"missing annotation for {image_id!r}; writing empty label file")
                 records = []
             else:
                 records = parse_visdrone_file(
@@ -313,6 +315,8 @@ def convert_dataset(
         ),
         root=out,
     )
+    for message in held:
+        warn(message)
 
     # phase 2: label files and sidecars, then index, descriptor, manifest
     label_dir = out / "labels" / split

@@ -215,6 +215,19 @@ class TestConvert:
             convert_dataset(src, VRU_MAP, tmp_path / "out", warn=lambda msg: None)
         assert not (tmp_path / "out").exists()
 
+    def test_failed_convert_emits_no_warning(self, tmp_path):
+        src = tmp_path / "src"
+        (src / "images").mkdir(parents=True)
+        (src / "annotations").mkdir()
+        (src / "images" / "a.jpg").write_bytes(b"")
+        (src / "images" / "a.png").write_bytes(b"")
+        (src / "dimensions.txt").write_text("a 400 250\n")
+        warnings = []
+        with pytest.raises(SchemaError, match="duplicate image ids"):
+            convert_dataset(src, VRU_MAP, tmp_path / "out", warn=warnings.append)
+        assert warnings == []
+        assert not (tmp_path / "out").exists()
+
     def test_yolo_unmapped_class_id(self, tmp_path):
         labels = tmp_path / "src" / "labels"
         labels.mkdir(parents=True)
