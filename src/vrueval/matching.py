@@ -19,8 +19,8 @@ tie-break is the same as when every pair is computed.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from operator import itemgetter
-from typing import Hashable, Mapping
 
 from .errors import ContractError
 from .geometry import corner_iou
