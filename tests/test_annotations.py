@@ -205,6 +205,45 @@ def test_bad_box_fields_name_file_and_line(kind, box, message):
     assert str(info.value) == f"f.txt:2: {message}"
 
 
+BOX = "0.5 0.5 0.2 0.2"
+# (kind, line, exact message) of every fault outside the box, and the order
+# of the checks: field count, class id, non-numeric confidence, box, confidence range
+FIELD_ERRORS = [
+    ("ignore", "0.5 0.5 0.2", "expected 4 fields, got 3"),
+    ("ignore", f"0 {BOX}", "expected 4 fields, got 5"),
+    ("label", "0 0.5 0.5 0.2", "expected 5 fields, got 4"),
+    ("label", f"0 0.9 {BOX}", "expected 5 fields, got 6"),
+    ("label", f"a {BOX}", "non-integer class id 'a'"),
+    ("label", f"1.0 {BOX}", "non-integer class id '1.0'"),
+    ("label", f"-1 {BOX}", "negative class id -1"),
+    ("label", f"3 {BOX}", "class id 3 out of range for 3 configured classes"),
+    ("label", "a 1.5 0.5 0.2 0.2", "non-integer class id 'a'"),
+    ("detection", "0 0.9 0.5 0.5 0.2", "expected 6 fields, got 5"),
+    ("detection", f"0 0.9 {BOX} 1", "expected 6 fields, got 7"),
+    ("detection", f"a 0.9 {BOX}", "non-integer class id 'a'"),
+    ("detection", f"-1 0.9 {BOX}", "negative class id -1"),
+    ("detection", f"3 0.9 {BOX}", "class id 3 out of range for 3 configured classes"),
+    ("detection", f"0 high {BOX}", "non-numeric confidence 'high'"),
+    ("detection", f"0 1.5 {BOX}", "confidence 1.5 outside [0, 1]"),
+    ("detection", f"0 -0.1 {BOX}", "confidence -0.1 outside [0, 1]"),
+    ("detection", "3 high 1.5 0.5 0.2 0.2", "class id 3 out of range for 3 configured classes"),
+    ("detection", "0 high 1.5 0.5 0.2 0.2", "non-numeric confidence 'high'"),
+    ("detection", "0 1.5 1.5 0.5 0.2 0.2", "normalized component cx=1.5 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("kind, line, message", FIELD_ERRORS)
+def test_field_faults_name_file_and_line(kind, line, message):
+    parse = {
+        "detection": lambda text: parse_detections(text, ImageDims(100, 100), 3, path="f.txt"),
+        "label": lambda text: parse_yolo_labels(text, ImageDims(100, 100), 3, path="f.txt"),
+        "ignore": lambda text: parse_ignore_regions(text, ImageDims(100, 100), path="f.txt"),
+    }[kind]
+    with pytest.raises(ParseError) as info:
+        parse(f"{LINE_PARSERS[kind][1]}{BOX}\n{line}\n")
+    assert str(info.value) == f"f.txt:2: {message}"
+
+
 def test_nan_confidence_rejected():
     with pytest.raises(ParseError) as info:
         parse_detections("0 nan 0.5 0.5 0.2 0.2\n", ImageDims(100, 100), path="f.txt")

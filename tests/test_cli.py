@@ -269,6 +269,8 @@ class TestEvalCommand:
             parse(text, str(path))
         code, stdout, stderr = run(capsys, "eval", root / "manifest.json", root / "detections")
         assert (code, stdout, stderr) == (2, "", f"error: {info.value}\n")
+        if kind != "detection":  # stats reads the same ground truth
+            assert run(capsys, "stats", root / "manifest.json") == (2, "", f"error: {info.value}\n")
 
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(
