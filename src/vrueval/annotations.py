@@ -28,6 +28,7 @@ __all__ = [
     "DetectionRecord",
     "parse_visdrone_line",
     "parse_visdrone_file",
+    "parse_box_rows",
     "parse_yolo_labels",
     "parse_detection_rows",
     "parse_detections",
@@ -219,33 +220,60 @@ def parse_visdrone_file(
     return records
 
 
-def _parse_box(parts: list[str], dims: ImageDims, path: str | None, lineno: int) -> BoundingBox:
-    """Corner box of the four ``cx cy w h`` tokens of one line."""
+def _box_row(
+    parts: list[str], lead: int, dims: ImageDims, num_classes: int | None,
+    path: str | None, lineno: int,
+) -> tuple:
+    """The ``lead`` values of one line's fields, then the corners ``denormalize`` computes.
+
+    ``lead`` counts the fields before ``cx cy w h``: 0 for an ignore region, 1
+    for a label (class), 2 for a detection (class, confidence). The checks run
+    in the order field count, class id, non-numeric confidence, box, confidence
+    range, and the first fault raises ParseError.
+    """
+    if len(parts) != lead + 4:
+        raise ParseError(f"expected {lead + 4} fields, got {len(parts)}", path, lineno)
+    head = ()
+    if lead:
+        try:
+            class_id = int(parts[0])
+        except ValueError:
+            raise ParseError(f"non-integer class id {parts[0]!r}", path, lineno)
+        if class_id < 0:
+            raise ParseError(f"negative class id {class_id}", path, lineno)
+        if num_classes is not None and class_id >= num_classes:
+            fault = f"class id {class_id} out of range for {num_classes} configured classes"
+            raise ParseError(fault, path, lineno)
+        head = (class_id,)
+    if lead == 2:
+        try:
+            head = (class_id, float(parts[1]))
+        except ValueError:
+            raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
+    box = parts[lead:]
     try:
-        cx, cy, w, h = map(float, parts)
+        cx, cy, w, h = map(float, box)
     except ValueError:
-        raise ParseError(f"non-numeric normalized field in {parts}", path, lineno)
+        raise ParseError(f"non-numeric normalized field in {box}", path, lineno)
     try:
         check_normalized(cx, cy, w, h)
+        if lead == 2:
+            _check_confidence(head[1])
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno)
-    return denormalize(cx, cy, w, h, dims)
+    return head + denormalize(cx, cy, w, h, dims)
 
 
-def _parse_class_id(token: str, num_classes: int | None, path: str | None, lineno: int) -> int:
-    try:
-        class_id = int(token)
-    except ValueError:
-        raise ParseError(f"non-integer class id {token!r}", path, lineno)
-    if class_id < 0:
-        raise ParseError(f"negative class id {class_id}", path, lineno)
-    if num_classes is not None and class_id >= num_classes:
-        raise ParseError(
-            f"class id {class_id} out of range for {num_classes} configured classes",
-            path,
-            lineno,
-        )
-    return class_id
+def parse_box_rows(
+    text: str, lead: int, dims: ImageDims, num_classes: int | None = None, path: str | None = None
+) -> list[tuple]:
+    """Rows of a label (``lead`` 1) or ignore-region (``lead`` 0) file, in file order:
+    the class id of a label, then the corners ``x_min, y_min, x_max, y_max``."""
+    return [
+        _box_row(parts, lead, dims, num_classes, path, lineno)
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
+        if parts
+    ]
 
 
 def parse_yolo_labels(
@@ -255,18 +283,11 @@ def parse_yolo_labels(
     image_id: str = "",
     path: str | None = None,
 ) -> list[GroundTruthRecord]:
-    """Parse a per-image label file (``class cx cy w h`` lines)."""
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 5:
-            raise ParseError(f"expected 5 fields, got {len(parts)}", path, lineno)
-        class_id = _parse_class_id(parts[0], num_classes, path, lineno)
-        box = _parse_box(parts[1:], dims, path, lineno)
-        records.append(GroundTruthRecord(image_id, class_id, box))
-    return records
+    """Records of the rows of a label file (``class cx cy w h`` lines)."""
+    return [
+        GroundTruthRecord(image_id, class_id, BoundingBox(*corners))
+        for class_id, *corners in parse_box_rows(text, 1, dims, num_classes, path)
+    ]
 
 
 def parse_detection_rows(
@@ -306,35 +327,16 @@ def parse_detection_rows(
             )
         except ValueError:
             valid = False
-        if not valid:  # the per-field checks raise a message naming the fault
-            rows.append(_detection_row(parts, dims, num_classes, path, lineno))
+        if not valid:  # the row checker raises a message naming the fault
+            rows.append(_box_row(parts, 2, dims, num_classes, path, lineno))
             continue
-        # denormalize's arithmetic, without building a BoundingBox
+        # denormalize's arithmetic, without a call per line
         half_w = w * width / 2.0
         half_h = h * height / 2.0
         cx = cx * width
         cy = cy * height
         rows.append((class_id, confidence, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
     return rows
-
-
-def _detection_row(
-    parts: list[str], dims: ImageDims, num_classes: int | None, path: str | None, lineno: int
-) -> tuple[int, float, float, float, float, float]:
-    """One detection line through the per-field checks, which name its fault."""
-    if len(parts) != 6:
-        raise ParseError(f"expected 6 fields, got {len(parts)}", path, lineno)
-    class_id = _parse_class_id(parts[0], num_classes, path, lineno)
-    try:
-        confidence = float(parts[1])
-    except ValueError:
-        raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
-    box = _parse_box(parts[2:], dims, path, lineno)
-    try:
-        _check_confidence(confidence)
-    except ValueError as exc:
-        raise ParseError(str(exc), path, lineno)
-    return (class_id, confidence, box.x_min, box.y_min, box.x_max, box.y_max)
 
 
 def parse_detections(
@@ -356,14 +358,8 @@ def parse_detections(
 def parse_ignore_regions(
     text: str, dims: ImageDims, image_id: str = "", path: str | None = None
 ) -> list[GroundTruthRecord]:
-    """Parse an ignore-region sidecar (``cx cy w h`` lines)."""
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", path, lineno)
-        box = _parse_box(parts, dims, path, lineno)
-        records.append(GroundTruthRecord(image_id, IGNORE_CLASS_ID, box, ignore=True))
-    return records
+    """Records of the rows of an ignore-region sidecar (``cx cy w h`` lines)."""
+    return [
+        GroundTruthRecord(image_id, IGNORE_CLASS_ID, BoundingBox(*corners), ignore=True)
+        for corners in parse_box_rows(text, 0, dims, None, path)
+    ]

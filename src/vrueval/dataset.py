@@ -32,12 +32,12 @@ from .annotations import (
     IGNORE_CLASS_ID,
     ClassMap,
     GroundTruthRecord,
+    parse_box_rows,
     parse_visdrone_file,
     parse_yolo_labels,
-    parse_ignore_regions,
 )
 from .errors import ConversionError, ParseError, SchemaError
-from .geometry import ImageDims, to_normalized
+from .geometry import BoundingBox, ImageDims, to_normalized
 
 __all__ = [
     "ManifestImage",
@@ -47,6 +47,7 @@ __all__ = [
     "read_dimension_index",
     "convert_dataset",
     "dataset_stats",
+    "ground_truth_rows",
     "load_manifest",
 ]
 
@@ -355,29 +356,28 @@ def convert_dataset(
     return manifest
 
 
-def load_ground_truth(manifest: DatasetManifest, image: ManifestImage) -> list[GroundTruthRecord]:
-    """Labels plus ignore-sidecar records for one manifest image."""
+def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[tuple]:
+    """``(class_id, x_min, y_min, x_max, y_max)`` rows of one manifest image: its
+    labels in file order, then its ignore-sidecar regions under ``IGNORE_CLASS_ID``."""
     label_path = manifest.label_file(image)
     if not label_path.is_file():
         raise ParseError("label file not found", str(label_path))
-    records = parse_yolo_labels(
-        label_path.read_text(encoding="utf-8"),
-        image.dims,
-        len(manifest.class_names),
-        image.image_id,
-        str(label_path),
-    )
+    text = label_path.read_text(encoding="utf-8")
+    rows = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
     ignore_path = manifest.ignore_file(image)
     if ignore_path.is_file():
-        records.extend(
-            parse_ignore_regions(
-                ignore_path.read_text(encoding="utf-8"),
-                image.dims,
-                image.image_id,
-                str(ignore_path),
-            )
-        )
-    return records
+        text = ignore_path.read_text(encoding="utf-8")
+        regions = parse_box_rows(text, 0, image.dims, None, str(ignore_path))
+        rows.extend((IGNORE_CLASS_ID, *corners) for corners in regions)
+    return rows
+
+
+def load_ground_truth(manifest: DatasetManifest, image: ManifestImage) -> list[GroundTruthRecord]:
+    """Records of the rows of ``ground_truth_rows``."""
+    return [
+        GroundTruthRecord(image.image_id, c, BoundingBox(*corners), ignore=c == IGNORE_CLASS_ID)
+        for c, *corners in ground_truth_rows(manifest, image)
+    ]
 
 
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
@@ -386,11 +386,10 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
     instances = [0] * k
     image_sets = [set() for _ in range(k)]
     for image in manifest.images:
-        for rec in load_ground_truth(manifest, image):
-            if rec.ignore:
-                continue
-            instances[rec.class_id] += 1
-            image_sets[rec.class_id].add(image.image_id)
+        for class_id, _, _, _, _ in ground_truth_rows(manifest, image):
+            if class_id != IGNORE_CLASS_ID:
+                instances[class_id] += 1
+                image_sets[class_id].add(image.image_id)
     return DatasetStats(
         split=manifest.split,
         class_names=manifest.class_names,

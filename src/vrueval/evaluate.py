@@ -12,8 +12,13 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotations import DetectionRecord, GroundTruthRecord, parse_detection_rows
-from .dataset import DatasetManifest, load_ground_truth
+from .annotations import (
+    IGNORE_CLASS_ID,
+    DetectionRecord,
+    GroundTruthRecord,
+    parse_detection_rows,
+)
+from .dataset import DatasetManifest, ground_truth_rows
 from .errors import VruEvalError
 from .matching import greedy_sweep
 from .metrics import (
@@ -183,8 +188,8 @@ def evaluate(
 
     Every manifest image must have a detection file ``<image_id>.txt``
     (possibly empty) under ``detections_dir``; other ``*.txt`` files there
-    are reported in one warning and not evaluated. Detections are read as
-    rows, never as records.
+    are reported in one warning and not evaluated. Ground truths and
+    detections are read as rows, never as records.
     """
     detections_dir = Path(detections_dir)
     listed = _listed_files(detections_dir)
@@ -202,10 +207,8 @@ def evaluate(
         image_id = img.image_id
         scorable: list[list] = [[] for _ in range(k)]
         ignored = []
-        for gt in load_ground_truth(manifest, img):
-            b = gt.box
-            corners = (b.x_min, b.y_min, b.x_max, b.y_max)
-            (ignored if gt.ignore else scorable[gt.class_id]).append(corners)
+        for row in ground_truth_rows(manifest, img):
+            (ignored if row[0] == IGNORE_CLASS_ID else scorable[row[0]]).append(row[1:])
         for class_id in range(k):
             truths[class_id][image_id] = (scorable[class_id], ignored)
         det_path = detections_dir / f"{image_id}.txt"

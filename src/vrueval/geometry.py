@@ -146,13 +146,13 @@ def to_normalized(box: BoundingBox, dims: ImageDims) -> NormalizedBox:
 
 def from_normalized(norm: NormalizedBox, dims: ImageDims) -> BoundingBox:
     """Inverse of to_normalized, up to floating-point round-trip error."""
-    return denormalize(norm.cx, norm.cy, norm.w, norm.h, dims)
+    return BoundingBox(*denormalize(norm.cx, norm.cy, norm.w, norm.h, dims))
 
 
-def denormalize(cx: float, cy: float, w: float, h: float, dims: ImageDims) -> BoundingBox:
-    """Corner box of already range-checked normalized center/size values."""
+def denormalize(cx: float, cy: float, w: float, h: float, dims: ImageDims) -> tuple:
+    """``(x_min, y_min, x_max, y_max)`` of range-checked normalized center/size values."""
     half_w = w * dims.width / 2.0
     half_h = h * dims.height / 2.0
     cx = cx * dims.width
     cy = cy * dims.height
-    return BoundingBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+    return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)

@@ -257,5 +257,4 @@ def test_detection_rows_use_denormalize_arithmetic():
         cx, cy, w, h = (rng.random() for _ in range(4))
         confidence = rng.random()
         [row] = parse_detection_rows(f"3 {confidence!r} {cx!r} {cy!r} {w!r} {h!r}\n", dims, 4)
-        box = denormalize(cx, cy, w, h, dims)
-        assert row == (3, confidence, box.x_min, box.y_min, box.x_max, box.y_max)
+        assert row == (3, confidence, *denormalize(cx, cy, w, h, dims))
