@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import yaml
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, read_input
 from .geometry import BoundingBox, ImageDims, check_normalized, denormalize
 
 __all__ = [
@@ -128,11 +128,10 @@ class ClassMap:
         Expected keys: ``names`` (ordered list), ``map`` (source -> target),
         and optional ``drop`` / ``ignore`` source-id lists.
         """
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise SchemaError(f"{path}: invalid class map: {exc}") from exc
+        try:
+            doc = yaml.safe_load(read_input(path))
+        except yaml.YAMLError as exc:
+            raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
         try:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import SchemaError, VruEvalError
+from .errors import SchemaError, VruEvalError, read_input
 from .evaluate import EvalReport
 from .metrics import f1 as f1_score
 
@@ -446,7 +446,7 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
     """Read run records (and optional forgetting entries) from a YAML file."""
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.safe_load(read_input(path))
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "runs" not in doc or not isinstance(doc["runs"], list):

@@ -36,7 +36,7 @@ from .annotations import (
     parse_visdrone_file,
     parse_yolo_labels,
 )
-from .errors import ConversionError, ParseError, SchemaError
+from .errors import ConversionError, ParseError, SchemaError, read_input
 from .geometry import BoundingBox, ImageDims, to_normalized
 
 __all__ = [
@@ -111,7 +111,7 @@ class DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid manifest JSON: {exc}") from exc
     try:
@@ -174,7 +174,7 @@ def read_dimension_index(path: Path) -> dict[str, ImageDims]:
     if not path.is_file():
         raise ConversionError(f"dimension index not found: {path}")
     dims = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -282,13 +282,13 @@ def convert_dataset(
                 records = []
             else:
                 records = parse_visdrone_file(
-                    ann_path.read_text(encoding="utf-8"), class_map, image_id, str(ann_path)
+                    read_input(ann_path), class_map, image_id, str(ann_path)
                 )
         else:
             lbl_path = src_label_dir / f"{image_id}.txt"
             records = []
             for rec in parse_yolo_labels(
-                lbl_path.read_text(encoding="utf-8"), dims, None, image_id, str(lbl_path)
+                read_input(lbl_path), dims, None, image_id, str(lbl_path)
             ):
                 try:
                     target = class_map.target(rec.class_id)
@@ -302,7 +302,7 @@ def convert_dataset(
             # carry existing sidecars through verbatim so re-conversion is a no-op
             src_ignore = src_label_dir / f"{image_id}.ignore"
             if src_ignore.is_file():
-                carried = src_ignore.read_bytes().decode("utf-8")
+                carried = read_input(src_ignore, newline="")
                 if carried and ignore_text and not carried.endswith("\n"):
                     carried += "\n"
                 ignore_text = carried + ignore_text
@@ -362,11 +362,11 @@ def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[t
     label_path = manifest.label_file(image)
     if not label_path.is_file():
         raise ParseError("label file not found", str(label_path))
-    text = label_path.read_text(encoding="utf-8")
+    text = read_input(label_path)
     rows = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
     ignore_path = manifest.ignore_file(image)
     if ignore_path.is_file():
-        text = ignore_path.read_text(encoding="utf-8")
+        text = read_input(ignore_path)
         regions = parse_box_rows(text, 0, image.dims, None, str(ignore_path))
         rows.extend((IGNORE_CLASS_ID, *corners) for corners in regions)
     return rows

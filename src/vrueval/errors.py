@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one reader of input text.
 
 All of these map to CLI exit code 2 (data/contract errors); usage errors
 are exit code 1 and are handled by the CLI layer itself.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class VruEvalError(Exception):
@@ -37,3 +39,17 @@ class ContractError(VruEvalError):
 
 class SchemaError(VruEvalError):
     """A structured input file (run records, manifest, class map) violates its schema."""
+
+
+def read_input(path: str | os.PathLike, newline: str | None = None) -> str:
+    """The UTF-8 text of an input file, with ``open``'s ``newline`` handling.
+
+    The default turns every line ending into ``\\n``; ``newline=""`` keeps
+    the text verbatim. Undecodable bytes raise ParseError naming the path
+    and the offset of the first bad byte.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", str(path)) from None

@@ -19,7 +19,7 @@ from .annotations import (
     parse_detection_rows,
 )
 from .dataset import DatasetManifest, ground_truth_rows
-from .errors import VruEvalError
+from .errors import VruEvalError, read_input
 from .matching import greedy_sweep
 from .metrics import (
     ConfusionCounts,
@@ -213,7 +213,7 @@ def evaluate(
             truths[class_id][image_id] = (scorable[class_id], ignored)
         det_path = detections_dir / f"{image_id}.txt"
         for class_id, confidence, x_min, y_min, x_max, y_max in parse_detection_rows(
-            det_path.read_text(encoding="utf-8"), img.dims, k, str(det_path)
+            read_input(det_path), img.dims, k, str(det_path)
         ):
             rows[class_id].append((image_id, confidence, x_min, y_min, x_max, y_max))
     curves = [

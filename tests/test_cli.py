@@ -418,6 +418,35 @@ class TestCliContract:
         assert code == 2
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize(
+        "bad, args",
+        [
+            ("micro/detections/img1.txt", ("eval", "micro/manifest.json", "micro/detections")),
+            ("micro/labels/val/img1.txt", ("eval", "micro/manifest.json", "micro/detections")),
+            ("micro/labels/val/img1.txt", ("stats", "micro/manifest.json")),
+            ("micro/manifest.json", ("stats", "micro/manifest.json")),
+            ("runs.yaml", ("compare", "runs.yaml", "--baseline", "yolov5x")),
+            ("map.yaml", ("convert", "visdrone_mini", "out", "--classmap", "map.yaml")),
+            ("visdrone_mini/annotations/0000001.txt", ("convert", "visdrone_mini", "out")),
+            ("visdrone_mini/dimensions.txt", ("convert", "visdrone_mini", "out")),
+        ],
+        ids=[
+            "detections-eval", "labels-eval", "labels-stats", "manifest", "run-file",
+            "class-map", "source-annotations", "dimension-index",
+        ],
+    )
+    def test_undecodable_input_names_its_file(self, capsys, tmp_path, monkeypatch, bad, args):
+        shutil.copytree(MICRO, tmp_path / "micro")
+        shutil.copytree(FIXTURES / "visdrone_mini", tmp_path / "visdrone_mini")
+        shutil.copy(DATA / "model_benchmark.yaml", tmp_path / "runs.yaml")
+        (tmp_path / "map.yaml").write_text("names: [pedestrian]\nmap: {1: 0}\n")
+        text = (tmp_path / bad).read_bytes()
+        (tmp_path / bad).write_bytes(text + b"\xff\xfe0 0.5\n")
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, *args)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {bad}: not UTF-8 text: byte {len(text)}: invalid start byte\n"
+
 
 class TestGoldenReports:
     """Every report, in every format, byte for byte as pinned in the golden file.
