@@ -26,12 +26,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImageDims:
-    """Pixel dimensions of one image."""
+    """Pixel dimensions of one image: positive integers, never bools."""
 
     width: int
     height: int
 
     def __post_init__(self):
+        for value in (self.width, self.height):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"image dims must be integers, got {self.width!r}x{self.height!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
 

@@ -272,6 +272,23 @@ class TestEvalCommand:
         if kind != "detection":  # stats reads the same ground truth
             assert run(capsys, "stats", root / "manifest.json") == (2, "", f"error: {info.value}\n")
 
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    @pytest.mark.parametrize(
+        "width, shown",
+        [("NaN", "nan"), ("1e400", "inf"), ("800.5", "800.5"), ("true", "True"), ('"800"', "'800'")],
+    )
+    def test_non_integer_image_width_rejected(self, capsys, tmp_path, command, width, shown):
+        root = tmp_path / "micro"
+        shutil.copytree(MICRO, root)
+        manifest = root / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"width": 800', f'"width": {width}', 1))
+        args = [root / "detections"] if command == "eval" else []
+        code, stdout, stderr = run(capsys, command, manifest, *args)
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {manifest}: invalid manifest: image dims must be integers, got {shown}x500\n"
+        )
+
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(
             capsys, "eval", MICRO / "manifest.json", MICRO / "detections",
