@@ -135,6 +135,9 @@ class ClassMap:
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
         try:
+            for key in ("names", "drop", "ignore"):
+                if not isinstance(doc.get(key, []), list):
+                    raise TypeError(f"{key} must be a list, got {doc[key]!r}")
             mapping = {int(src): int(dst) for src, dst in doc["map"].items()}
             return cls(
                 mapping=mapping,

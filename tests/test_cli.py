@@ -128,6 +128,24 @@ class TestConvertCommand:
         assert code == 0
         assert stderr == ""
 
+    @pytest.mark.parametrize(
+        "line, key, shown",
+        [
+            ("names: abcd", "names", "'abcd'"),
+            ("drop: '45'", "drop", "'45'"),
+            ("ignore: 0", "ignore", "0"),
+        ],
+    )
+    def test_classmap_lists_must_be_lists(self, capsys, tmp_path, line, key, shown):
+        cm = tmp_path / "map.yaml"
+        cm.write_text(f"names: [pedestrian]\nmap: {{1: 0}}\n{line}\n")
+        code, stdout, stderr = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cm}: invalid class map: {key} must be a list, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_custom_classmap(self, capsys, tmp_path):
         cm = tmp_path / "map.yaml"
         cm.write_text(
@@ -275,7 +293,13 @@ class TestEvalCommand:
     @pytest.mark.parametrize("command", ["eval", "stats"])
     @pytest.mark.parametrize(
         "width, shown",
-        [("NaN", "nan"), ("1e400", "inf"), ("800.5", "800.5"), ("true", "True"), ('"800"', "'800'")],
+        [
+            ("NaN", "nan"),
+            ("1e400", "inf"),
+            ("800.5", "800.5"),
+            ("true", "True"),
+            ('"800"', "'800'"),
+        ],
     )
     def test_non_integer_image_width_rejected(self, capsys, tmp_path, command, width, shown):
         root = tmp_path / "micro"
@@ -288,6 +312,19 @@ class TestEvalCommand:
         assert stderr == (
             f"error: {manifest}: invalid manifest: image dims must be integers, got {shown}x500\n"
         )
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    def test_class_names_must_be_a_list(self, capsys, tmp_path, command):
+        root = tmp_path / "micro"
+        shutil.copytree(MICRO, root)
+        manifest = root / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "class_names": "ab"}))
+        args = [root / "detections"] if command == "eval" else []
+        code, stdout, stderr = run(capsys, command, manifest, *args)
+        assert (code, stdout) == (2, "")
+        fault = "class_names must be a list, got 'ab'"
+        assert stderr == f"error: {manifest}: invalid manifest: {fault}\n"
 
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(
