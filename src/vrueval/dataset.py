@@ -115,8 +115,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid manifest JSON: {exc}") from exc
     try:
-        if not isinstance(doc["class_names"], list):
-            raise TypeError(f"class_names must be a list, got {doc['class_names']!r}")
+        names = doc["class_names"]
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise TypeError(f"class_names must be a list of strings, got {names!r}")
         images = tuple(
             ManifestImage(
                 image_id=entry["image_id"],

@@ -314,16 +314,17 @@ class TestEvalCommand:
         )
 
     @pytest.mark.parametrize("command", ["eval", "stats"])
-    def test_class_names_must_be_a_list(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("names, shown", [("ab", "'ab'"), ([1, 2], "[1, 2]")])
+    def test_class_names_must_be_a_list_of_strings(self, capsys, tmp_path, command, names, shown):
         root = tmp_path / "micro"
         shutil.copytree(MICRO, root)
         manifest = root / "manifest.json"
         doc = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps({**doc, "class_names": "ab"}))
+        manifest.write_text(json.dumps({**doc, "class_names": names}))
         args = [root / "detections"] if command == "eval" else []
         code, stdout, stderr = run(capsys, command, manifest, *args)
         assert (code, stdout) == (2, "")
-        fault = "class_names must be a list, got 'ab'"
+        fault = f"class_names must be a list of strings, got {shown}"
         assert stderr == f"error: {manifest}: invalid manifest: {fault}\n"
 
     def test_threshold_validation(self, capsys):
