@@ -292,40 +292,33 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("command", ["eval", "stats"])
     @pytest.mark.parametrize(
-        "width, shown",
+        "old, new, fault",
         [
-            ("NaN", "nan"),
-            ("1e400", "inf"),
-            ("800.5", "800.5"),
-            ("true", "True"),
-            ('"800"', "'800'"),
+            ('"width": 800', f'"width": {width}', f"image dims must be integers, got {shown}x500")
+            for width, shown in [
+                ("NaN", "nan"),
+                ("1e400", "inf"),
+                ("800.5", "800.5"),
+                ("true", "True"),
+                ('"800"', "'800'"),
+            ]
+        ]
+        + [
+            ('["pedestrian", "people"]', new, f"class_names must be a list of strings, got {shown}")
+            for new, shown in [('"ab"', "'ab'"), ("[1, 2]", "[1, 2]")]
         ],
     )
-    def test_non_integer_image_width_rejected(self, capsys, tmp_path, command, width, shown):
+    def test_bad_manifest_value_names_the_manifest(
+        self, capsys, tmp_path, command, old, new, fault
+    ):
         root = tmp_path / "micro"
         shutil.copytree(MICRO, root)
         manifest = root / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"width": 800', f'"width": {width}', 1))
+        text = json.dumps(json.loads(manifest.read_text()))  # one line: "class_names": [...]
+        manifest.write_text(text.replace(old, new, 1))
         args = [root / "detections"] if command == "eval" else []
         code, stdout, stderr = run(capsys, command, manifest, *args)
-        assert (code, stdout) == (2, "")
-        assert stderr == (
-            f"error: {manifest}: invalid manifest: image dims must be integers, got {shown}x500\n"
-        )
-
-    @pytest.mark.parametrize("command", ["eval", "stats"])
-    @pytest.mark.parametrize("names, shown", [("ab", "'ab'"), ([1, 2], "[1, 2]")])
-    def test_class_names_must_be_a_list_of_strings(self, capsys, tmp_path, command, names, shown):
-        root = tmp_path / "micro"
-        shutil.copytree(MICRO, root)
-        manifest = root / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps({**doc, "class_names": names}))
-        args = [root / "detections"] if command == "eval" else []
-        code, stdout, stderr = run(capsys, command, manifest, *args)
-        assert (code, stdout) == (2, "")
-        fault = f"class_names must be a list of strings, got {shown}"
-        assert stderr == f"error: {manifest}: invalid manifest: {fault}\n"
+        assert (code, stdout, stderr) == (2, "", f"error: {manifest}: invalid manifest: {fault}\n")
 
     def test_threshold_validation(self, capsys):
         code, _, stderr = run(
