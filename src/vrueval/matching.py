@@ -25,7 +25,9 @@ from operator import itemgetter
 from .errors import ContractError
 from .geometry import corner_iou
 
-__all__ = ["greedy_sweep"]
+__all__ = ["FP", "IGNORED", "TP", "greedy_sweep"]
+
+TP, FP, IGNORED = "tp", "fp", "ignored"  # a detection's fate; IGNORED: suppressed
 
 Corners = tuple[float, float, float, float]
 # (image key, confidence, x_min, y_min, x_max, y_max)
@@ -36,15 +38,15 @@ def greedy_sweep(
     rows: list[Row],
     truths: Mapping[Hashable, tuple[list[Corners], list[Corners]]],
     iou_thresh: float,
-) -> tuple[tuple[tuple[float, float], ...], int, tuple[float, ...], int]:
+) -> tuple[tuple[str, ...], int, tuple[float, ...], int]:
     """Match one class's detection rows, given in input order.
 
     ``truths[image]`` holds the ``(x_min, y_min, x_max, y_max)`` corners of
     that image's scorable ground truths of the class and of its ignore
     regions; an image without an entry has neither. Returns the fields of
-    ``PRCurve`` after the class id: one cumulative (recall, precision)
-    point per detection that is not suppressed, the number of positives,
-    each point's confidence, and the number of images with a positive.
+    ``PRCurve`` after the class id: the fate of each detection in rank
+    order, the number of positives, each ranked detection's confidence,
+    and the number of images with a positive.
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise ContractError(f"iou threshold {iou_thresh} outside (0, 1]")
@@ -52,15 +54,11 @@ def greedy_sweep(
     state = {image: (list(scorable), regions) for image, (scorable, regions) in truths.items()}
     n_positives = sum(len(scorable) for scorable, _ in state.values())
     n_images = sum(1 for scorable, _ in state.values() if scorable)
-    positives = n_positives or 1  # with no positives, recall is 0 / 1
     nothing = ((), ())
-    points = []
-    confidences = []
-    tp = fp = 0
     # a stable sort: confidence ties keep input order
-    for image, confidence, x_min, y_min, x_max, y_max in sorted(
-        rows, key=itemgetter(1), reverse=True
-    ):
+    ranked = sorted(rows, key=itemgetter(1), reverse=True)
+    fates = []
+    for image, _, x_min, y_min, x_max, y_max in ranked:
         candidates, regions = state.get(image, nothing)
         best_iou = 0.0
         best = -1
@@ -73,14 +71,12 @@ def greedy_sweep(
                 best = pos
         if best >= 0 and best_iou >= iou_thresh:
             del candidates[best]
-            tp += 1
+            fates.append(TP)
         elif regions and _reaches(x_min, y_min, x_max, y_max, regions, iou_thresh):
-            continue  # suppressed by an ignore region: no point
+            fates.append(IGNORED)
         else:
-            fp += 1
-        points.append((tp / positives, tp / (tp + fp)))
-        confidences.append(confidence)
-    return tuple(points), n_positives, tuple(confidences), n_images
+            fates.append(FP)
+    return tuple(fates), n_positives, tuple([row[1] for row in ranked]), n_images
 
 
 def _reaches(x_min, y_min, x_max, y_max, regions: list[Corners], iou_thresh: float) -> bool:

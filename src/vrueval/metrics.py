@@ -1,8 +1,8 @@
 """Precision, recall, F1, PR curves, and (mean) average precision.
 
-Both reporting regimes read one ranked sweep per class. PR curves and AP
-consume every detection; point metrics (precision/recall/F1) count the
-sweep's detections at or above a confidence cut. Greedy matching is online
+Both reporting regimes read the fates of one ranked sweep per class. AP
+consumes every fate; point metrics (precision/recall/F1) count the fates
+of the detections at or above a confidence cut. Greedy matching is online
 in rank order, so that equals matching the cut detections alone. AP uses
 all-point interpolation: the area under the running-maximum precision
 envelope, accumulated over distinct recall steps.
@@ -16,7 +16,7 @@ from operator import neg
 
 from .annotations import DetectionRecord, GroundTruthRecord
 from .errors import VruEvalError
-from .matching import greedy_sweep
+from .matching import FP, IGNORED, TP, greedy_sweep
 
 __all__ = [
     "ConfusionCounts",
@@ -64,15 +64,14 @@ def f1(p: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class PRCurve:
-    """Cumulative (recall, precision) points along the ranked sweep.
+    """Each detection's fate (TP, FP or IGNORED) and confidence, in rank order.
 
-    ``confidences`` holds each point's detection confidence, so it is
-    non-increasing; ``n_images`` counts the images with a scorable ground
-    truth of the class.
+    ``confidences`` is therefore non-increasing; ``n_images`` counts the
+    images with a scorable ground truth of the class.
     """
 
     class_id: int
-    points: tuple[tuple[float, float], ...]
+    fates: tuple[str, ...]
     n_positives: int
     confidences: tuple[float, ...]
     n_images: int
@@ -80,10 +79,9 @@ class PRCurve:
     def counts_at(self, conf_thresh: float) -> ConfusionCounts:
         """TP/FP/FN of the sweep's detections with confidence >= conf_thresh."""
         # confidences descend; bisect needs an ascending key
-        scored = bisect_right(self.confidences, -conf_thresh, key=neg)
-        # precision * scored is within an ulp of the integer TP count
-        tp = round(self.points[scored - 1][1] * scored) if scored else 0
-        return ConfusionCounts(tp, scored - tp, self.n_positives - tp)
+        head = self.fates[: bisect_right(self.confidences, -conf_thresh, key=neg)]
+        tp = head.count(TP)
+        return ConfusionCounts(tp, head.count(FP), self.n_positives - tp)
 
 
 def pr_curve(
@@ -95,8 +93,7 @@ def pr_curve(
     """Sweep the dataset-wide confidence ranking for one class.
 
     Detections are ranked across all images (ties keep input order); each
-    contributes one cumulative point unless it is suppressed by an ignore
-    region. Ignore records are class-agnostic.
+    gets one fate. Ignore records are class-agnostic.
     """
     truths: dict[str, tuple[list, list]] = {}
     for gt in gts:
@@ -134,16 +131,21 @@ def average_precision(curve: PRCurve) -> float | None:
     """
     if curve.n_positives == 0:
         return None
-    if not curve.points:
-        return 0.0
-    envelope = [0.0] * len(curve.points)
+    points = []  # cumulative (recall, precision)
+    tp = scored = 0
+    for fate in curve.fates:
+        if fate != IGNORED:  # an ignored detection adds no point
+            scored += 1
+            tp += fate == TP
+            points.append((tp / curve.n_positives, tp / scored))
+    envelope = [0.0] * len(points)
     running = 0.0
-    for i in range(len(curve.points) - 1, -1, -1):
-        running = max(running, curve.points[i][1])
+    for i in range(len(points) - 1, -1, -1):
+        running = max(running, points[i][1])
         envelope[i] = running
     ap = 0.0
     prev_recall = 0.0
-    for (r, _), env in zip(curve.points, envelope):
+    for (r, _), env in zip(points, envelope):
         if r > prev_recall:
             ap += (r - prev_recall) * env
             prev_recall = r

@@ -15,7 +15,7 @@ from helpers import (
 from oracle import greedy_match_image, rank
 from vrueval.errors import ContractError
 from vrueval.geometry import BoundingBox, iou
-from vrueval.matching import greedy_sweep
+from vrueval.matching import FP, IGNORED, TP, greedy_sweep
 from vrueval.metrics import pr_curve
 
 
@@ -33,25 +33,8 @@ def sweep_inputs(gts, dets):
 
 
 def fates(gts, ranked_dets, iou_thresh=0.5):
-    """Fate of each detection, given in rank order: 'tp', 'fp' or 'ignored'.
-
-    The k-th fate compares the sweeps of the top k-1 and the top k rows;
-    a suppressed detection adds no point.
-    """
-    rows, truths = sweep_inputs(gts, ranked_dets)
-    labels = []
-    before = (0, 0)
-    for k in range(1, len(rows) + 1):
-        points = greedy_sweep(rows[:k], truths, iou_thresh)[0]
-        n = len(points)
-        tp = round(points[-1][1] * n) if n else 0
-        after = (tp, n - tp)
-        if after == before:
-            labels.append("ignored")
-        else:
-            labels.append("tp" if tp > before[0] else "fp")
-        before = after
-    return labels
+    """Fate of each detection, given in rank order: 'tp', 'fp' or 'ignored'."""
+    return list(greedy_sweep(*sweep_inputs(gts, ranked_dets), iou_thresh)[0])
 
 
 @pytest.fixture
@@ -80,8 +63,7 @@ class TestProtocol:
         a = det(confidence=0.9, box=(0, 0, 10, 6))
         b = det(confidence=0.8, box=(0, 0, 10, 5.5))
         rows, truths = sweep_inputs([ground], [b, a])  # the sweep ranks them
-        points = greedy_sweep(rows, truths, 0.5)[0]
-        assert points == ((1.0, 1.0), (1.0, 0.5))
+        assert greedy_sweep(rows, truths, 0.5)[0] == (TP, FP)
         assert [value for _, value in iou_calls] == [pytest.approx(0.6)]
 
     def test_highest_iou_selected(self):
@@ -100,17 +82,14 @@ class TestProtocol:
 
     def test_confidence_tie_keeps_input_order(self):
         # the sweep owns the ranking: of two tied detections the first in input
-        # order takes the GT. A second `loose` is suppressed by the region and
-        # adds no point; a second `exact` is a false positive.
+        # order takes the GT. A second `loose` is suppressed by the region; a
+        # second `exact` is a false positive.
         region = gt(class_id=-1, box=(5, 0, 15, 10), ignore=True)
         ground = gt(box=(0, 0, 10, 10))
         exact = det(confidence=0.8, box=(0, 0, 10, 10))   # IoU 1.0 GT, 1/3 region
         loose = det(confidence=0.8, box=(2, 0, 12, 10))   # IoU 2/3 GT, 7/13 region
-        assert pr_curve([region, ground], [exact, loose], 0, 0.5).points == ((1.0, 1.0),)
-        assert pr_curve([region, ground], [loose, exact], 0, 0.5).points == (
-            (1.0, 1.0),
-            (1.0, 0.5),
-        )
+        assert pr_curve([region, ground], [exact, loose], 0, 0.5).fates == (TP, IGNORED)
+        assert pr_curve([region, ground], [loose, exact], 0, 0.5).fates == (TP, FP)
 
     def test_duplicates_yield_single_tp(self):
         ground = gt(box=(0, 0, 10, 10))
@@ -152,7 +131,7 @@ class TestContracts:
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         gts = [region, gt(class_id=1, box=(50, 50, 60, 60))]
         curve = pr_curve(gts, [det(class_id=1, box=(1, 1, 9, 9))], 1, 0.5)
-        assert curve.points == ()
+        assert curve.fates == (IGNORED,)
         assert curve.n_positives == 1
 
     def test_threshold_range(self):
@@ -176,9 +155,8 @@ def test_iou_runs_only_for_overlapping_pairs(iou_calls):
     ]
     dets = [det(confidence=0.9 - i * 0.1, box=b) for i, b in enumerate(boxes)]
     rows, truths = sweep_inputs([ground, region], dets)
-    points = greedy_sweep(rows, truths, 0.5)[0]
     # five false positives, a true positive, and a suppressed detection
-    assert points == ((0.0, 0.0),) * 5 + ((1.0, 1 / 6),)
+    assert greedy_sweep(rows, truths, 0.5)[0] == (FP,) * 5 + (TP, IGNORED)
     assert iou_calls == [
         (corners(dets[5].box) + corners(ground.box), pytest.approx(0.9)),
         (corners(dets[6].box) + corners(region.box), pytest.approx(0.64)),

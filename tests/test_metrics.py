@@ -5,6 +5,7 @@ import pytest
 from helpers import det, gt, random_instance, to_oracle_det, to_oracle_gt
 from oracle import ap_from_points, class_ap, class_confusion, class_pr_points
 from vrueval.errors import VruEvalError
+from vrueval.matching import FP, IGNORED, TP
 from vrueval.metrics import (
     ConfusionCounts,
     PRCurve,
@@ -85,8 +86,20 @@ class TestConfusionAtThreshold:
             assert counts[0].tp + counts[0].fn == scorable
 
 
+def cumulative(fates):
+    """(TP, FP) after each fate that is not IGNORED."""
+    counts = []
+    tp = fp = 0
+    for fate in fates:
+        if fate != IGNORED:
+            tp += fate == TP
+            fp += fate == FP
+            counts.append((tp, fp))
+    return counts
+
+
 class TestPRCurve:
-    def test_tp_fp_tp_points(self):
+    def test_tp_fp_tp_fates(self):
         gts = [gt(box=(0, 0, 10, 10)), gt(box=(100, 100, 110, 110))]
         dets = [
             det(confidence=0.9, box=(0, 0, 10, 10)),
@@ -95,11 +108,11 @@ class TestPRCurve:
         ]
         curve = pr_curve(gts, dets, 0, 0.5)
         assert curve.n_positives == 2
-        assert curve.points == ((0.5, 1.0), (0.5, 0.5), (1.0, pytest.approx(2 / 3)))
+        assert curve.fates == (TP, FP, TP)
 
     def test_zero_detections(self):
         curve = pr_curve([gt()], [], 0, 0.5)
-        assert curve.points == ()
+        assert curve.fates == ()
         assert curve.n_positives == 1
 
     def test_all_tp_ends_at_one_one(self):
@@ -108,22 +121,22 @@ class TestPRCurve:
             det(confidence=0.9 - 0.1 * i, box=(i * 20, 0, i * 20 + 10, 10)) for i in range(3)
         ]
         curve = pr_curve(gts, dets, 0, 0.5)
-        assert curve.points[-1] == (1.0, 1.0)
+        assert curve.fates == (TP,) * 3
 
     def test_recall_non_decreasing(self):
         rng = random.Random(99)
         for _ in range(100):
             gts, dets = random_instance(rng)
             curve = pr_curve(gts, dets, 0, 0.5)
-            recalls = [r for r, _ in curve.points]
+            recalls = [tp / (curve.n_positives or 1) for tp, _ in cumulative(curve.fates)]
             assert recalls == sorted(recalls)
 
-    def test_confidences_follow_points(self):
+    def test_confidences_follow_fates(self):
         gts = [gt(box=(0, 0, 10, 10))]
         dets = [det(confidence=0.3, box=(50, 50, 60, 60)), det(confidence=0.7)]
         curve = pr_curve(gts, dets, 0, 0.5)
         assert curve.confidences == (0.7, 0.3)
-        assert curve.points == ((1.0, 1.0), (1.0, 0.5))
+        assert curve.fates == (TP, FP)
 
     def test_images_count_scorable_ground_truth_only(self):
         gts = [
@@ -136,11 +149,13 @@ class TestPRCurve:
         assert pr_curve(gts, [], 1, 0.5).n_images == 1
         assert pr_curve(gts, [], 2, 0.5).n_images == 0
 
-    def test_suppressed_detections_emit_no_point(self):
+    def test_suppressed_detections_are_ignored(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         dets = [det(confidence=0.9, box=(1, 1, 9, 9)), det(confidence=0.8, box=(50, 50, 60, 60))]
         curve = pr_curve([region, gt(box=(50, 50, 60, 60))], dets, 0, 0.5)
-        assert len(curve.points) == 1  # only the scored detection
+        assert curve.fates == (IGNORED, TP)
+        assert cumulative(curve.fates) == [(1, 0)]  # only the scored detection
+        assert curve.counts_at(0.0) == ConfusionCounts(1, 0, 0)
 
 
 class TestAveragePrecision:
@@ -191,10 +206,10 @@ class TestAveragePrecision:
                 [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5
             )
             assert curve.n_positives == n_pos
-            assert len(curve.points) == len(points)
-            for (gr, gp), (er, ep) in zip(curve.points, points):
-                assert gr == pytest.approx(er, abs=1e-12)
-                assert gp == pytest.approx(ep, abs=1e-12)
+            assert points == [
+                (tp / n_pos if n_pos else 0.0, tp / (tp + fp))
+                for tp, fp in cumulative(curve.fates)
+            ]
 
 
 class TestMeanAp:
