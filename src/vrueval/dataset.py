@@ -79,6 +79,8 @@ class DatasetManifest:
     root: Path  # directory the label paths are relative to
 
     def __post_init__(self):
+        if len(self.class_names) != len(set(self.class_names)):
+            raise SchemaError(f"duplicate class names: {self.class_names}")
         ids = [img.image_id for img in self.images]
         if len(ids) != len(set(ids)):
             raise SchemaError(f"duplicate image ids in split {self.split!r}")
@@ -132,7 +134,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             images=images,
             root=path.parent,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"{path}: invalid manifest: {exc}") from exc
 
 

@@ -306,6 +306,14 @@ class TestEvalCommand:
         + [
             ('["pedestrian", "people"]', new, f"class_names must be a list of strings, got {shown}")
             for new, shown in [('"ab"', "'ab'"), ("[1, 2]", "[1, 2]")]
+        ]
+        + [
+            (
+                '["pedestrian", "people"]',
+                '["pedestrian", "pedestrian"]',
+                "duplicate class names: ('pedestrian', 'pedestrian')",
+            ),
+            ('"image_id": "img2"', '"image_id": "img1"', "duplicate image ids in split 'val'"),
         ],
     )
     def test_bad_manifest_value_names_the_manifest(
