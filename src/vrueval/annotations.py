@@ -9,11 +9,16 @@ Supported text formats (one object per line):
 - detection line: ``class confidence cx cy w h``.
 - ignore-region sidecar line: ``cx cy w h`` (no class; regions are
   class-agnostic and excluded from scoring).
+
+Every number is spelled in ASCII without ``_``: Python's ``int`` and
+``float`` also read digit-group underscores and non-ASCII digits (``1_0``
+as 10, an Arabic-Indic one as 1), which no annotation format writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
 import yaml
@@ -33,6 +38,7 @@ __all__ = [
     "parse_detection_rows",
     "parse_detections",
     "parse_ignore_regions",
+    "plain_number",
 ]
 
 # Class id carried by ignore-region records; they match detections of any class.
@@ -172,6 +178,18 @@ class DetectionRecord:
         _check_confidence(self.confidence)
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``_`` (see the module docstring)."""
+    return "_" not in text and text.isascii()
+
+
+def plain_number(convert, field: str):
+    """``convert(field)`` (``int`` or ``float``) of a field spelled in ASCII without ``_``."""
+    if not _plain(field):
+        raise ValueError(f"not a plain decimal number: {field!r}")
+    return convert(field)
+
+
 def _check_confidence(confidence: float) -> None:
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside [0, 1]")
@@ -193,6 +211,8 @@ def parse_visdrone_line(
     if len(fields) != 8:
         raise ParseError(f"expected 8 comma-separated fields, got {len(fields)}", path, lineno)
     try:
+        if not _plain(line):
+            raise ValueError(line)
         left, top, width, height, _score, category, _trunc, _occl = (int(f) for f in fields)
     except ValueError:
         raise ParseError(f"non-numeric field in annotation line: {line.strip()!r}", path, lineno)
@@ -235,10 +255,14 @@ def _box_row(
     """
     if len(parts) != lead + 4:
         raise ParseError(f"expected {lead + 4} fields, got {len(parts)}", path, lineno)
+    if _plain("".join(parts)):
+        to_int, to_float = int, float
+    else:  # check each field, so the first bad one is named
+        to_int, to_float = partial(plain_number, int), partial(plain_number, float)
     head = ()
     if lead:
         try:
-            class_id = int(parts[0])
+            class_id = to_int(parts[0])
         except ValueError:
             raise ParseError(f"non-integer class id {parts[0]!r}", path, lineno)
         if class_id < 0:
@@ -249,12 +273,12 @@ def _box_row(
         head = (class_id,)
     if lead == 2:
         try:
-            head = (class_id, float(parts[1]))
+            head = (class_id, to_float(parts[1]))
         except ValueError:
             raise ParseError(f"non-numeric confidence {parts[1]!r}", path, lineno)
     box = parts[lead:]
     try:
-        cx, cy, w, h = map(float, box)
+        cx, cy, w, h = map(to_float, box)
     except ValueError:
         raise ParseError(f"non-numeric normalized field in {box}", path, lineno)
     try:
@@ -320,7 +344,9 @@ def parse_detection_rows(
             w = float(w)
             h = float(h)
             valid = (
-                0 <= class_id < class_limit
+                line.isascii()
+                and "_" not in line
+                and 0 <= class_id < class_limit
                 and 0.0 <= confidence <= 1.0
                 and 0.0 <= cx <= 1.0
                 and 0.0 <= cy <= 1.0

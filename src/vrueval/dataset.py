@@ -35,6 +35,7 @@ from .annotations import (
     parse_box_rows,
     parse_visdrone_file,
     parse_yolo_labels,
+    plain_number,
 )
 from .errors import ConversionError, ParseError, SchemaError, read_input
 from .geometry import BoundingBox, ImageDims, to_normalized
@@ -187,7 +188,7 @@ def read_dimension_index(path: Path) -> dict[str, ImageDims]:
             raise ParseError(f"expected 'image_id width height', got {line!r}", str(path), lineno)
         image_id, w, h = parts
         try:
-            entry = ImageDims(int(w), int(h))
+            entry = ImageDims(plain_number(int, w), plain_number(int, h))
         except ValueError as exc:
             raise ParseError(str(exc), str(path), lineno)
         if image_id in dims:

@@ -109,6 +109,15 @@ class TestVisdroneLine:
         with pytest.raises(ParseError, match="category 12"):
             parse_visdrone_line("5,5,10,10,0,12,0,0", VRU_MAP)
 
+    @pytest.mark.parametrize(
+        "line", ["1_0,8,27,11,0,1,0,0", "10,8,27,11,0,\u0661,0,0", "10,8,2\u06f7,11,0,1,0,0"]
+    )
+    def test_number_spellings_beyond_decimals_rejected(self, line):
+        # int() reads these as 10, category 1 and width 27
+        with pytest.raises(ParseError) as info:
+            parse_visdrone_line(line, VRU_MAP, path="ann.txt", lineno=2)
+        assert str(info.value) == f"ann.txt:2: non-numeric field in annotation line: {line!r}"
+
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="ann.txt:3"):
             parse_visdrone_line("bad", VRU_MAP, path="ann.txt", lineno=3)
@@ -192,6 +201,9 @@ BOX_ERRORS = [
     ("nan 0.5 0.2 0.2", "normalized component cx=nan outside [0, 1]"),
     ("0.5 0.5 inf 0.2", "normalized component w=inf outside [0, 1]"),
     ("0.5 abc 0.2 0.2", "non-numeric normalized field in ['0.5', 'abc', '0.2', '0.2']"),
+    # int() and float() read these as 0.5 and 0.5; no annotation format writes them
+    ("0.5_0 0.5 0.2 0.2", "non-numeric normalized field in ['0.5_0', '0.5', '0.2', '0.2']"),
+    ("0.5 0.\u0665 0.2 0.2", "non-numeric normalized field in ['0.5', '0.\u0665', '0.2', '0.2']"),
 ]
 
 
@@ -218,12 +230,18 @@ FIELD_ERRORS = [
     ("label", f"-1 {BOX}", "negative class id -1"),
     ("label", f"3 {BOX}", "class id 3 out of range for 3 configured classes"),
     ("label", "a 1.5 0.5 0.2 0.2", "non-integer class id 'a'"),
+    ("label", f"1_0 {BOX}", "non-integer class id '1_0'"),
+    ("label", f"\u0661 {BOX}", "non-integer class id '\u0661'"),
     ("detection", "0 0.9 0.5 0.5 0.2", "expected 6 fields, got 5"),
     ("detection", f"0 0.9 {BOX} 1", "expected 6 fields, got 7"),
     ("detection", f"a 0.9 {BOX}", "non-integer class id 'a'"),
     ("detection", f"-1 0.9 {BOX}", "negative class id -1"),
     ("detection", f"3 0.9 {BOX}", "class id 3 out of range for 3 configured classes"),
     ("detection", f"0 high {BOX}", "non-numeric confidence 'high'"),
+    ("detection", f"\u0661 0.9 {BOX}", "non-integer class id '\u0661'"),
+    ("detection", f"0 0.9_5 {BOX}", "non-numeric confidence '0.9_5'"),
+    ("detection", f"0 \uff10.9 {BOX}", "non-numeric confidence '\uff10.9'"),
+    ("detection", f"1_0 0.9_5 {BOX}", "non-integer class id '1_0'"),
     ("detection", f"0 1.5 {BOX}", "confidence 1.5 outside [0, 1]"),
     ("detection", f"0 -0.1 {BOX}", "confidence -0.1 outside [0, 1]"),
     ("detection", "3 high 1.5 0.5 0.2 0.2", "class id 3 out of range for 3 configured classes"),
@@ -242,6 +260,15 @@ def test_field_faults_name_file_and_line(kind, line, message):
     with pytest.raises(ParseError) as info:
         parse(f"{LINE_PARSERS[kind][1]}{BOX}\n{line}\n")
     assert str(info.value) == f"f.txt:2: {message}"
+
+
+def test_signs_and_exponents_are_numbers():
+    text = "+0 5e-01 +0.5 0.5 2e-1 0.2\n"
+    assert parse_detection_rows(text, ImageDims(100, 100), 3) == [(0, 0.5, 40.0, 40.0, 60.0, 60.0)]
+    assert parse_yolo_labels("+1 0.5 5E-1 0.2 0.2\n", ImageDims(100, 100), 3)[0].class_id == 1
+    assert parse_visdrone_line("+684,8,273,116,0,+1,0,0", VRU_MAP).box == BoundingBox(
+        684, 8, 957, 124
+    )
 
 
 def test_nan_confidence_rejected():

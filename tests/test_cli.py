@@ -260,6 +260,9 @@ class TestEvalCommand:
             ("detection", "a 0.9 0.5 0.5 0.2 0.2"),
             ("detection", "0 1.5 0.5 0.5 0.2 0.2"),
             ("detection", "0 high 0.5 0.5 0.2 0.2"),
+            ("detection", "0 0.9_5 0.125 0.2 0.12 0.192"),
+            ("detection", "\u0661 0.9 0.125 0.2 0.12 0.192"),
+            ("label", "1_0 0.125 0.2 0.12 0.192"),
         ],
     )
     def test_bad_line_fails_as_its_parser_reports(self, capsys, tmp_path, kind, line):

@@ -382,3 +382,15 @@ def test_dimension_index_rejects_duplicates(tmp_path):
     path.write_text("a 10 10\na 20 20\n")
     with pytest.raises(ParseError, match="duplicate"):
         read_dimension_index(path)
+
+
+@pytest.mark.parametrize("size", ["8_00", "٨٠٠"])
+def test_dimension_index_reads_plain_decimals_only(tmp_path, size):
+    # int() reads both as 800; an image id may still hold '_' or non-ASCII
+    path = tmp_path / "dimensions.txt"
+    path.write_text(f"frame_é 400 250\nb {size} 500\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_dimension_index(path)
+    assert str(info.value) == f"{path}:2: not a plain decimal number: {size!r}"
+    path.write_text("frame_é +400 250\n", encoding="utf-8")
+    assert read_dimension_index(path) == {"frame_é": ImageDims(400, 250)}
