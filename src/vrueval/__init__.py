@@ -26,7 +26,7 @@ from .benchmark import (
 )
 from .dataset import DatasetManifest, DatasetStats, convert_dataset, dataset_stats, load_manifest
 from .errors import ContractError, ConversionError, ParseError, SchemaError, VruEvalError
-from .evaluate import ClassEval, EvalReport, evaluate
+from .evaluate import ClassEval, EvalReport  # vrueval.evaluate stays the module
 from .geometry import BoundingBox, ImageDims, NormalizedBox, from_normalized, iou, to_normalized
 from .metrics import (
     ConfusionCounts,
@@ -70,7 +70,6 @@ __all__ = [
     "continual_scenario",
     "convert_dataset",
     "dataset_stats",
-    "evaluate",
     "f1",
     "forgetting",
     "from_normalized",

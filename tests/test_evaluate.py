@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import types
 
 import pytest
 
@@ -245,3 +246,12 @@ def test_stray_detection_files_warned(micro_manifest, tmp_path):
         "not evaluated",
     )
     assert report.classes == evaluate(micro_manifest, MICRO / "detections").classes
+
+
+def test_package_attribute_is_the_evaluate_module():
+    import vrueval
+    import vrueval.evaluate as module
+
+    assert isinstance(module, types.ModuleType)
+    assert vrueval.evaluate is module
+    assert module.evaluate is evaluate and callable(module.evaluate)
