@@ -344,7 +344,7 @@ def parse_detection_rows(
             w = float(w)
             h = float(h)
             valid = (
-                line.isascii()
+                line.isascii()  # plain decimals only, see the module docstring
                 and "_" not in line
                 and 0 <= class_id < class_limit
                 and 0.0 <= confidence <= 1.0
