@@ -17,6 +17,7 @@ as 10, an Arabic-Indic one as 1), which no annotation format writes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
@@ -59,6 +60,36 @@ _VISDRONE_NAMES = {
     10: "motor",
     11: "others",
 }
+
+
+_DECIMAL = re.compile(r"[-+]?(0|[1-9][0-9]*)")
+
+
+class _ClassMapLoader(yaml.SafeLoader):
+    """YAML 1.1 that reads only plain decimal integers as ints.
+
+    YAML 1.1 also reads ``0x4``, ``0o7``, ``010`` (octal), ``1_0`` and ``1:30``
+    (base 60) as ints; this loader keeps them as the strings they are.
+    """
+
+
+_ClassMapLoader.add_constructor(
+    "tag:yaml.org,2002:int",
+    lambda loader, node: _decimal_or_text(loader.construct_scalar(node)),
+)
+
+
+def _decimal_or_text(text: str) -> int | str:
+    return int(text) if _DECIMAL.fullmatch(text) else text
+
+
+def _class_id(value) -> int:
+    """A class-map id: an int read from plain decimal, or a string of one (JSON keys)."""
+    if isinstance(value, str):
+        value = _decimal_or_text(value)
+    if type(value) is not int:  # not a bool, a float, or any other spelling
+        raise ValueError(f"class ids must be plain decimal integers, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,7 +166,7 @@ class ClassMap:
         and optional ``drop`` / ``ignore`` source-id lists.
         """
         try:
-            doc = yaml.safe_load(read_input(path))
+            doc = yaml.load(read_input(path), Loader=_ClassMapLoader)
         except yaml.YAMLError as exc:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
@@ -144,12 +175,12 @@ class ClassMap:
             for key in ("names", "drop", "ignore"):
                 if not isinstance(doc.get(key, []), list):
                     raise TypeError(f"{key} must be a list, got {doc[key]!r}")
-            mapping = {int(src): int(dst) for src, dst in doc["map"].items()}
+            mapping = {_class_id(src): _class_id(dst) for src, dst in doc["map"].items()}
             return cls(
                 mapping=mapping,
                 names=tuple(str(n) for n in doc["names"]),
-                drop=frozenset(int(c) for c in doc.get("drop", [])),
-                ignore=frozenset(int(c) for c in doc.get("ignore", [])),
+                drop=frozenset(map(_class_id, doc.get("drop", []))),
+                ignore=frozenset(map(_class_id, doc.get("ignore", []))),
             )
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
@@ -243,20 +274,24 @@ def parse_visdrone_file(
 
 
 def _box_row(
-    parts: list[str], lead: int, dims: ImageDims, num_classes: int | None,
+    line: str, lead: int, dims: ImageDims, num_classes: int | None,
     path: str | None, lineno: int,
 ) -> tuple:
     """The ``lead`` values of one line's fields, then the corners ``denormalize`` computes.
 
     ``lead`` counts the fields before ``cx cy w h``: 0 for an ignore region, 1
     for a label (class), 2 for a detection (class, confidence). The checks run
-    in the order field count, class id, non-numeric confidence, box, confidence
-    range, and the first fault raises ParseError.
+    in the order field count, field separators, class id, non-numeric
+    confidence, box, confidence range, and the first fault raises ParseError.
     """
+    parts = line.split()
     if len(parts) != lead + 4:
         raise ParseError(f"expected {lead + 4} fields, got {len(parts)}", path, lineno)
-    if _plain("".join(parts)):
+    if _plain(line):
         to_int, to_float = int, float
+    elif _plain("".join(parts)):  # str.split also splits at non-ASCII whitespace
+        space = next(char for char in line if not char.isascii())
+        raise ParseError(f"non-ASCII whitespace {space!r} in the line", path, lineno)
     else:  # check each field, so the first bad one is named
         to_int, to_float = partial(plain_number, int), partial(plain_number, float)
     head = ()
@@ -296,9 +331,9 @@ def parse_box_rows(
     """Rows of a label (``lead`` 1) or ignore-region (``lead`` 0) file, in file order:
     the class id of a label, then the corners ``x_min, y_min, x_max, y_max``."""
     return [
-        _box_row(parts, lead, dims, num_classes, path, lineno)
-        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
-        if parts
+        _box_row(line, lead, dims, num_classes, path, lineno)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line and not line.isspace()
     ]
 
 
@@ -356,7 +391,7 @@ def parse_detection_rows(
         except ValueError:
             valid = False
         if not valid:  # the row checker raises a message naming the fault
-            rows.append(_box_row(parts, 2, dims, num_classes, path, lineno))
+            rows.append(_box_row(line, 2, dims, num_classes, path, lineno))
             continue
         # denormalize's arithmetic, without a call per line
         half_w = w * width / 2.0

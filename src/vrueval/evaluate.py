@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .annotations import (
@@ -20,7 +21,7 @@ from .annotations import (
 )
 from .dataset import DatasetManifest, ground_truth_rows
 from .errors import VruEvalError, read_input
-from .matching import greedy_sweep
+from .matching import check_iou_thresh, match_image, rank
 from .metrics import (
     ConfusionCounts,
     PRCurve,
@@ -189,7 +190,9 @@ def evaluate(
     Every manifest image must have a detection file ``<image_id>.txt``
     (possibly empty) under ``detections_dir``; other ``*.txt`` files there
     are reported in one warning and not evaluated. Ground truths and
-    detections are read as rows, never as records.
+    detections are read as rows, never as records, and each image is
+    matched as soon as its files are read: across images only each
+    detection's confidence and fate are kept, per class.
     """
     detections_dir = Path(detections_dir)
     listed = _listed_files(detections_dir)
@@ -200,26 +203,39 @@ def evaluate(
             "missing detection files for image ids: " + ", ".join(sorted(missing))
         )
     stray = sorted(name for name in listed - wanted if name.endswith(".txt"))
+    check_iou_thresh(iou_thresh)
     k = len(manifest.class_names)
-    rows: list[list] = [[] for _ in range(k)]
-    truths: list[dict] = [{} for _ in range(k)]
+    # per class: each detection's confidence and fate, image after image
+    confidences: list[list[float]] = [[] for _ in range(k)]
+    fates: list[list[str]] = [[] for _ in range(k)]
+    n_positives = [0] * k
+    n_images = [0] * k
     for img in manifest.images:
-        image_id = img.image_id
         scorable: list[list] = [[] for _ in range(k)]
         ignored = []
         for row in ground_truth_rows(manifest, img):
             (ignored if row[0] == IGNORE_CLASS_ID else scorable[row[0]]).append(row[1:])
-        for class_id in range(k):
-            truths[class_id][image_id] = (scorable[class_id], ignored)
-        det_path = detections_dir / f"{image_id}.txt"
-        for class_id, confidence, x_min, y_min, x_max, y_max in parse_detection_rows(
-            read_input(det_path), img.dims, k, str(det_path)
-        ):
-            rows[class_id].append((image_id, confidence, x_min, y_min, x_max, y_max))
-    curves = [
-        PRCurve(class_id, *greedy_sweep(rows[class_id], truths[class_id], iou_thresh))
-        for class_id in range(k)
-    ]
+        det_path = detections_dir / f"{img.image_id}.txt"
+        rows = parse_detection_rows(read_input(det_path), img.dims, k, str(det_path))
+        ranked: list[list] = [[] for _ in range(k)]
+        # a stable sort: confidence ties keep file order
+        for row in sorted(rows, key=itemgetter(1), reverse=True):
+            ranked[row[0]].append(row)
+        for class_id, candidates in enumerate(scorable):
+            if candidates:
+                n_positives[class_id] += len(candidates)
+                n_images[class_id] += 1
+            confidences[class_id] += map(itemgetter(1), ranked[class_id])
+            fates[class_id] += match_image(ranked[class_id], candidates, ignored, iou_thresh)
+    curves = []
+    for class_id in range(k):
+        ranked_fates, ranked_confidences = rank(confidences[class_id], fates[class_id])
+        curves.append(
+            PRCurve(
+                class_id, ranked_fates, n_positives[class_id], ranked_confidences,
+                n_images[class_id],
+            )
+        )
     notes = ()
     if stray:
         notes = (

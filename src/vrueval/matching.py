@@ -1,4 +1,4 @@
-"""Greedy detection-to-ground-truth matching: one ranked sweep per class.
+"""Greedy detection-to-ground-truth matching, one image at a time.
 
 Protocol: a class's detections are ranked across all images in strictly
 descending confidence (ties broken by ascending input order) and matched
@@ -8,6 +8,12 @@ threshold; IoU ties go to the lowest ground-truth index. A detection that
 cannot claim a ground truth but overlaps an ignore region of its image at
 or above the threshold is suppressed -- neither TP nor FP. Everything else
 is a false positive, and unmatched ground truths are false negatives.
+
+A detection's fate depends only on the detections ranked above it in its
+own image, so each image is matched on its own (``match_image``), in the
+image's own stable confidence order, which is the dataset ranking
+restricted to that image. The class's fates are then merged into the
+dataset ranking by one stable sort on confidence (``rank``).
 
 Before the exact IoU, a ground truth or ignore region whose box is
 disjoint from the detection's or only touches it along an edge or corner
@@ -20,46 +26,37 @@ tie-break is the same as when every pair is computed.
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
-from operator import itemgetter
 
 from .errors import ContractError
 from .geometry import corner_iou
 
-__all__ = ["FP", "IGNORED", "TP", "greedy_sweep"]
+__all__ = ["FP", "IGNORED", "TP", "check_iou_thresh", "greedy_sweep", "match_image", "rank"]
 
 TP, FP, IGNORED = "tp", "fp", "ignored"  # a detection's fate; IGNORED: suppressed
 
 Corners = tuple[float, float, float, float]
-# (image key, confidence, x_min, y_min, x_max, y_max)
+# (image key or class id, confidence, x_min, y_min, x_max, y_max)
 Row = tuple[Hashable, float, float, float, float, float]
 
 
-def greedy_sweep(
-    rows: list[Row],
-    truths: Mapping[Hashable, tuple[list[Corners], list[Corners]]],
-    iou_thresh: float,
-) -> tuple[tuple[str, ...], int, tuple[float, ...], int]:
-    """Match one class's detection rows, given in input order.
-
-    ``truths[image]`` holds the ``(x_min, y_min, x_max, y_max)`` corners of
-    that image's scorable ground truths of the class and of its ignore
-    regions; an image without an entry has neither. Returns the fields of
-    ``PRCurve`` after the class id: the fate of each detection in rank
-    order, the number of positives, each ranked detection's confidence,
-    and the number of images with a positive.
-    """
+def check_iou_thresh(iou_thresh: float) -> None:
+    """Raise ContractError unless the IoU threshold lies in (0, 1]."""
     if not 0.0 < iou_thresh <= 1.0:
         raise ContractError(f"iou threshold {iou_thresh} outside (0, 1]")
-    # per image: its unmatched ground truths in index order, and its ignore regions
-    state = {image: (list(scorable), regions) for image, (scorable, regions) in truths.items()}
-    n_positives = sum(len(scorable) for scorable, _ in state.values())
-    n_images = sum(1 for scorable, _ in state.values() if scorable)
-    nothing = ((), ())
-    # a stable sort: confidence ties keep input order
-    ranked = sorted(rows, key=itemgetter(1), reverse=True)
+
+
+def match_image(
+    ranked: list[Row], candidates: list[Corners], regions: list[Corners], iou_thresh: float
+) -> list[str]:
+    """Fates of one image's detections of one class, given in rank order.
+
+    Only the corners of the ``ranked`` rows are read. ``candidates`` are the
+    image's scorable ground truths of the class in index order; each one a
+    detection claims is removed from the list. ``regions`` are the image's
+    ignore regions.
+    """
     fates = []
-    for image, _, x_min, y_min, x_max, y_max in ranked:
-        candidates, regions = state.get(image, nothing)
+    for _, _, x_min, y_min, x_max, y_max in ranked:
         best_iou = 0.0
         best = -1
         for pos, (gx_min, gy_min, gx_max, gy_max) in enumerate(candidates):
@@ -76,7 +73,53 @@ def greedy_sweep(
             fates.append(IGNORED)
         else:
             fates.append(FP)
-    return tuple(fates), n_positives, tuple([row[1] for row in ranked]), n_images
+    return fates
+
+
+def rank(
+    confidences: list[float], fates: list[str]
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """One class's fates and confidences in rank order: descending confidence.
+
+    ``confidences[i]`` and ``fates[i]`` belong to one detection. Detections
+    of equal confidence must be given in input order, which the stable sort
+    keeps, so images given one after another may each come in their own rank
+    order.
+    """
+    order = sorted(range(len(confidences)), key=confidences.__getitem__, reverse=True)
+    return tuple(map(fates.__getitem__, order)), tuple(map(confidences.__getitem__, order))
+
+
+def greedy_sweep(
+    rows: list[Row],
+    truths: Mapping[Hashable, tuple[list[Corners], list[Corners]]],
+    iou_thresh: float,
+) -> tuple[tuple[str, ...], int, tuple[float, ...], int]:
+    """Match one class's detection rows, given in input order, image by image.
+
+    ``truths[image]`` holds the ``(x_min, y_min, x_max, y_max)`` corners of
+    that image's scorable ground truths of the class and of its ignore
+    regions; an image without an entry has neither. Returns the fields of
+    ``PRCurve`` after the class id: the fate of each detection in rank
+    order, the number of positives, each ranked detection's confidence,
+    and the number of images with a positive.
+    """
+    check_iou_thresh(iou_thresh)
+    by_image: dict[Hashable, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_image.setdefault(row[0], []).append(i)
+    fates = [FP] * len(rows)  # in input order
+    for image, indices in by_image.items():
+        scorable, regions = truths.get(image, ((), ()))
+        # a stable sort: confidence ties keep input order
+        order = sorted(indices, key=lambda i: rows[i][1], reverse=True)
+        ranked = [rows[i] for i in order]
+        for i, fate in zip(order, match_image(ranked, list(scorable), regions, iou_thresh)):
+            fates[i] = fate
+    n_positives = sum(len(scorable) for scorable, _ in truths.values())
+    n_images = sum(1 for scorable, _ in truths.values() if scorable)
+    ranked_fates, confidences = rank([row[1] for row in rows], fates)
+    return ranked_fates, n_positives, confidences, n_images
 
 
 def _reaches(x_min, y_min, x_max, y_max, regions: list[Corners], iou_thresh: float) -> bool:

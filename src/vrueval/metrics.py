@@ -127,28 +127,25 @@ def average_precision(curve: PRCurve) -> float | None:
     """All-point interpolated AP; None when the class has no positives.
 
     AP = sum over distinct recall steps of (r_i - r_{i-1}) times the
-    maximum precision at recall >= r_i.
+    maximum precision at recall >= r_i. Recall steps only at a TP, and
+    precision falls at every FP, so its maximum over any suffix of the
+    ranking is reached at a TP: the sum runs over the TPs alone.
     """
     if curve.n_positives == 0:
         return None
-    points = []  # cumulative (recall, precision)
-    tp = scored = 0
-    for fate in curve.fates:
-        if fate != IGNORED:  # an ignored detection adds no point
-            scored += 1
-            tp += fate == TP
-            points.append((tp / curve.n_positives, tp / scored))
-    envelope = [0.0] * len(points)
+    scored = [fate for fate in curve.fates if fate != IGNORED]  # an ignored one adds no point
+    tp_ranks = [rank for rank, fate in enumerate(scored, start=1) if fate == TP]
+    # precision at each TP, then its running maximum from the last TP back
+    envelope = [tp / rank for tp, rank in enumerate(tp_ranks, start=1)]
     running = 0.0
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        envelope[i] = running
+    for i in range(len(envelope) - 1, -1, -1):
+        running = envelope[i] = max(running, envelope[i])
     ap = 0.0
     prev_recall = 0.0
-    for (r, _), env in zip(points, envelope):
-        if r > prev_recall:
-            ap += (r - prev_recall) * env
-            prev_recall = r
+    for tp, env in enumerate(envelope, start=1):
+        r = tp / curve.n_positives
+        ap += (r - prev_recall) * env
+        prev_recall = r
     return ap
 
 

@@ -204,6 +204,10 @@ BOX_ERRORS = [
     # int() and float() read these as 0.5 and 0.5; no annotation format writes them
     ("0.5_0 0.5 0.2 0.2", "non-numeric normalized field in ['0.5_0', '0.5', '0.2', '0.2']"),
     ("0.5 0.\u0665 0.2 0.2", "non-numeric normalized field in ['0.5', '0.\u0665', '0.2', '0.2']"),
+    # str.split() splits at these too; no annotation format writes them
+    ("0.5\u30000.5 0.2 0.2", "non-ASCII whitespace '\\u3000' in the line"),
+    ("0.5 0.5\xa00.2 0.2", "non-ASCII whitespace '\\xa0' in the line"),
+    ("0.5 0.5 0.2 0.2\u2003", "non-ASCII whitespace '\\u2003' in the line"),
 ]
 
 
@@ -247,6 +251,14 @@ FIELD_ERRORS = [
     ("detection", "3 high 1.5 0.5 0.2 0.2", "class id 3 out of range for 3 configured classes"),
     ("detection", "0 high 1.5 0.5 0.2 0.2", "non-numeric confidence 'high'"),
     ("detection", "0 1.5 1.5 0.5 0.2 0.2", "normalized component cx=1.5 outside [0, 1]"),
+    ("ignore", f"\u3000{BOX}", "non-ASCII whitespace '\\u3000' in the line"),
+    ("label", f"1\u3000{BOX}", "non-ASCII whitespace '\\u3000' in the line"),
+    ("label", "1\u30000.5 0.5 0.2", "expected 5 fields, got 4"),
+    ("label", f"1\xa0{BOX} 1_0", "expected 5 fields, got 6"),
+    ("label", f"9\xa0{BOX}", "non-ASCII whitespace '\\xa0' in the line"),
+    ("detection", f"0 0.9\xa0{BOX}", "non-ASCII whitespace '\\xa0' in the line"),
+    ("detection", f"3\u2003high {BOX}", "non-ASCII whitespace '\\u2003' in the line"),
+    ("detection", f"0\u2003\u0661.9 {BOX}", "non-numeric confidence '\u0661.9'"),
 ]
 
 

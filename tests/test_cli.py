@@ -146,6 +146,45 @@ class TestConvertCommand:
         assert stderr == f"error: {cm}: invalid class map: {key} must be a list, got {shown}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "body, shown",
+        [
+            # YAML 1.1 reads each of these as a number; a class map takes none of them
+            ("map: {1_0: 0}", "'1_0'"),
+            ("map: {1: 0}\ndrop: [0x4]", "'0x4'"),
+            ("map: {1: 0}\ndrop: [010]", "'010'"),
+            ("map: {1: 0}\ndrop: [1:30]", "'1:30'"),
+            ("map: {1: 0}\nignore: [true]", "True"),
+            ("map: {1: 0}\ndrop: [4.7]", "4.7"),
+            ("map: {1: 0x0}", "'0x0'"),
+        ],
+    )
+    def test_classmap_ids_must_be_plain_decimals(self, capsys, tmp_path, body, shown):
+        cm = tmp_path / "map.yaml"
+        cm.write_text(f"names: [pedestrian]\n{body}\n")
+        code, stdout, stderr = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {cm}: invalid class map: class ids must be plain decimal integers, "
+            f"got {shown}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_classmap_ids_may_be_decimal_strings(self, capsys, tmp_path):
+        # JSON object keys are strings
+        cm = tmp_path / "map.json"
+        cm.write_text(
+            '{"names": ["pedestrian"], "map": {"1": 0}, "drop": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11],'
+            ' "ignore": [0]}'
+        )
+        code, stdout, _ = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert code == 0
+        assert "classes: pedestrian" in stdout
+
     def test_custom_classmap(self, capsys, tmp_path):
         cm = tmp_path / "map.yaml"
         cm.write_text(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -176,6 +177,29 @@ def test_matches_oracle_on_random_instances():
                 [to_oracle_gt(g) for g in gts], [odets[i] for i in order]
             )
             assert fates(gts, [dets[i] for i in order]) == expected
+
+
+def test_tied_confidences_across_images_keep_input_order():
+    # the images interleave in the input and confidences tie across them: the
+    # merged ranking must put tied detections in input order, not image by image
+    rng = random.Random(2718)
+    for box in (random_box, grid_box):
+        for _ in range(300):
+            gts, dets = random_instance(rng, n_images=3, with_ignores=True, box=box)
+            dets = [replace(d, confidence=rng.choice((0.3, 0.6, 0.9))) for d in dets]
+            ogts = [to_oracle_gt(g) for g in gts]
+            odets = [dict(to_oracle_det(d), _thresh=0.5) for d in dets]
+            order = rank(odets)
+            expected = {}
+            for image in {d["image_id"] for d in odets}:
+                ranked = [i for i in order if odets[i]["image_id"] == image]
+                image_gts = [g for g in ogts if g["image_id"] == image]
+                expected.update(
+                    zip(ranked, greedy_match_image(image_gts, [odets[i] for i in ranked]))
+                )
+            curve = pr_curve(gts, dets, 0, 0.5)
+            assert list(curve.fates) == [expected[i] for i in order]
+            assert list(curve.confidences) == [odets[i]["confidence"] for i in order]
 
 
 def reference_iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -195,7 +195,7 @@ class TestAveragePrecision:
             if expected is None:
                 assert got is None
             else:
-                assert got == pytest.approx(expected, abs=1e-9)
+                assert got == expected
 
     def test_points_match_oracle(self):
         rng = random.Random(31)
