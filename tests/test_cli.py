@@ -173,11 +173,11 @@ class TestConvertCommand:
         assert not (tmp_path / "out").exists()
 
     def test_classmap_ids_may_be_decimal_strings(self, capsys, tmp_path):
-        # JSON object keys are strings
+        # JSON object keys are strings: a quoted decimal is an id too
         cm = tmp_path / "map.json"
         cm.write_text(
-            '{"names": ["pedestrian"], "map": {"1": 0}, "drop": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11],'
-            ' "ignore": [0]}'
+            '{"names": ["pedestrian"], "map": {"1": 0}, '
+            '"drop": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11], "ignore": [0]}'
         )
         code, stdout, _ = run(
             capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
