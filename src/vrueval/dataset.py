@@ -186,6 +186,10 @@ def read_dimension_index(path: Path) -> dict[str, ImageDims]:
             continue
         if len(parts) != 3:
             raise ParseError(f"expected 'image_id width height', got {line!r}", str(path), lineno)
+        # str.split also splits at non-ASCII whitespace, which separates no fields here
+        space = next((char for char in line if char.isspace() and not char.isascii()), None)
+        if space:
+            raise ParseError(f"non-ASCII whitespace {space!r} in the line", str(path), lineno)
         image_id, w, h = parts
         try:
             entry = ImageDims(plain_number(int, w), plain_number(int, h))

@@ -10,27 +10,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
-from .annotations import (
-    IGNORE_CLASS_ID,
-    DetectionRecord,
-    GroundTruthRecord,
-    parse_detection_rows,
-)
+from .annotations import DetectionRecord, GroundTruthRecord, parse_detection_rows
 from .dataset import DatasetManifest, ground_truth_rows
 from .errors import VruEvalError, read_input
-from .matching import check_iou_thresh, match_image, rank
 from .metrics import (
     ConfusionCounts,
     PRCurve,
     average_precision,
     f1,
     mean_ap,
-    pr_curve,
     precision,
     recall,
+    sweep_images,
+    sweep_records,
 )
 
 __all__ = ["ClassEval", "EvalReport", "evaluate", "evaluate_records"]
@@ -108,7 +102,7 @@ def evaluate_records(
     conf_thresh: float = DEFAULT_CONF_THRESH,
 ) -> EvalReport:
     """Evaluate already-loaded records; ``evaluate`` reads rows from files."""
-    curves = [pr_curve(gts, dets, class_id, iou_thresh) for class_id in range(len(class_names))]
+    curves = sweep_records(gts, dets, range(len(class_names)), iou_thresh)
     return _report(curves, class_names, total_images, iou_thresh, conf_thresh)
 
 
@@ -203,39 +197,15 @@ def evaluate(
             "missing detection files for image ids: " + ", ".join(sorted(missing))
         )
     stray = sorted(name for name in listed - wanted if name.endswith(".txt"))
-    check_iou_thresh(iou_thresh)
     k = len(manifest.class_names)
-    # per class: each detection's confidence and fate, image after image
-    confidences: list[list[float]] = [[] for _ in range(k)]
-    fates: list[list[str]] = [[] for _ in range(k)]
-    n_positives = [0] * k
-    n_images = [0] * k
-    for img in manifest.images:
-        scorable: list[list] = [[] for _ in range(k)]
-        ignored = []
-        for row in ground_truth_rows(manifest, img):
-            (ignored if row[0] == IGNORE_CLASS_ID else scorable[row[0]]).append(row[1:])
-        det_path = detections_dir / f"{img.image_id}.txt"
-        rows = parse_detection_rows(read_input(det_path), img.dims, k, str(det_path))
-        ranked: list[list] = [[] for _ in range(k)]
-        # a stable sort: confidence ties keep file order
-        for row in sorted(rows, key=itemgetter(1), reverse=True):
-            ranked[row[0]].append(row)
-        for class_id, candidates in enumerate(scorable):
-            if candidates:
-                n_positives[class_id] += len(candidates)
-                n_images[class_id] += 1
-            confidences[class_id] += map(itemgetter(1), ranked[class_id])
-            fates[class_id] += match_image(ranked[class_id], candidates, ignored, iou_thresh)
-    curves = []
-    for class_id in range(k):
-        ranked_fates, ranked_confidences = rank(confidences[class_id], fates[class_id])
-        curves.append(
-            PRCurve(
-                class_id, ranked_fates, n_positives[class_id], ranked_confidences,
-                n_images[class_id],
-            )
-        )
+
+    def images():
+        for img in manifest.images:
+            truths = ground_truth_rows(manifest, img)  # an image's labels are read first
+            det_path = detections_dir / f"{img.image_id}.txt"
+            yield truths, parse_detection_rows(read_input(det_path), img.dims, k, str(det_path))
+
+    curves = sweep_images(images(), k, iou_thresh)
     notes = ()
     if stray:
         notes = (

@@ -14,6 +14,7 @@ own image, so each image is matched on its own (``match_image``), in the
 image's own stable confidence order, which is the dataset ranking
 restricted to that image. The class's fates are then merged into the
 dataset ranking by one stable sort on confidence (``rank``).
+``metrics.sweep_images`` is the one caller of both.
 
 Before the exact IoU, a ground truth or ignore region whose box is
 disjoint from the detection's or only touches it along an edge or corner
@@ -25,18 +26,16 @@ tie-break is the same as when every pair is computed.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
-
 from .errors import ContractError
 from .geometry import corner_iou
 
-__all__ = ["FP", "IGNORED", "TP", "check_iou_thresh", "greedy_sweep", "match_image", "rank"]
+__all__ = ["FP", "IGNORED", "TP", "check_iou_thresh", "match_image", "rank"]
 
 TP, FP, IGNORED = "tp", "fp", "ignored"  # a detection's fate; IGNORED: suppressed
 
 Corners = tuple[float, float, float, float]
-# (image key or class id, confidence, x_min, y_min, x_max, y_max)
-Row = tuple[Hashable, float, float, float, float, float]
+# a detection row: (class id, confidence, x_min, y_min, x_max, y_max)
+Row = tuple[int, float, float, float, float, float]
 
 
 def check_iou_thresh(iou_thresh: float) -> None:
@@ -77,49 +76,18 @@ def match_image(
 
 
 def rank(
-    confidences: list[float], fates: list[str]
+    confidences: list[float], fates: list[str], ties: list = ()
 ) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """One class's fates and confidences in rank order: descending confidence.
 
     ``confidences[i]`` and ``fates[i]`` belong to one detection. Detections
-    of equal confidence must be given in input order, which the stable sort
-    keeps, so images given one after another may each come in their own rank
-    order.
+    of equal confidence keep their given order, which the stable sort keeps,
+    so images given one after another may each come in their own rank order.
+    With ``ties``, one key per detection, they rank by ascending key instead.
     """
-    order = sorted(range(len(confidences)), key=confidences.__getitem__, reverse=True)
+    order = sorted(range(len(fates)), key=ties.__getitem__) if ties else range(len(fates))
+    order = sorted(order, key=confidences.__getitem__, reverse=True)
     return tuple(map(fates.__getitem__, order)), tuple(map(confidences.__getitem__, order))
-
-
-def greedy_sweep(
-    rows: list[Row],
-    truths: Mapping[Hashable, tuple[list[Corners], list[Corners]]],
-    iou_thresh: float,
-) -> tuple[tuple[str, ...], int, tuple[float, ...], int]:
-    """Match one class's detection rows, given in input order, image by image.
-
-    ``truths[image]`` holds the ``(x_min, y_min, x_max, y_max)`` corners of
-    that image's scorable ground truths of the class and of its ignore
-    regions; an image without an entry has neither. Returns the fields of
-    ``PRCurve`` after the class id: the fate of each detection in rank
-    order, the number of positives, each ranked detection's confidence,
-    and the number of images with a positive.
-    """
-    check_iou_thresh(iou_thresh)
-    by_image: dict[Hashable, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_image.setdefault(row[0], []).append(i)
-    fates = [FP] * len(rows)  # in input order
-    for image, indices in by_image.items():
-        scorable, regions = truths.get(image, ((), ()))
-        # a stable sort: confidence ties keep input order
-        order = sorted(indices, key=lambda i: rows[i][1], reverse=True)
-        ranked = [rows[i] for i in order]
-        for i, fate in zip(order, match_image(ranked, list(scorable), regions, iou_thresh)):
-            fates[i] = fate
-    n_positives = sum(len(scorable) for scorable, _ in truths.values())
-    n_images = sum(1 for scorable, _ in truths.values() if scorable)
-    ranked_fates, confidences = rank([row[1] for row in rows], fates)
-    return ranked_fates, n_positives, confidences, n_images
 
 
 def _reaches(x_min, y_min, x_max, y_max, regions: list[Corners], iou_thresh: float) -> bool:

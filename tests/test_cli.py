@@ -102,6 +102,18 @@ class TestConvertCommand:
         assert "dimensions.txt" in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_dimension_index_with_non_ascii_whitespace_fails(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "visdrone_mini", src)
+        (src / "dimensions.txt").write_text(
+            "0000001\u30001920 1080\n0000002 400 250\n0000003 1000 500\n", encoding="utf-8"
+        )
+        code, stdout, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        path = src / "dimensions.txt"
+        assert stderr == f"error: {path}:1: non-ASCII whitespace '\\u3000' in the line\n"
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_identical_bytes(self, capsys, tmp_path):
         out = tmp_path / "out"
 
@@ -285,6 +297,29 @@ class TestEvalCommand:
         assert code == 0
         assert json.loads(stdout)["warnings"] == [message]
         assert stderr == f"warning: {message}\n"
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            # an image's labels are read before its detections
+            (("labels/val/img1.txt", "detections/img1.txt"), "labels/val/img1.txt:4"),
+            # and an image is read only after the one before it is matched
+            (("detections/img1.txt", "labels/val/img2.txt"), "detections/img1.txt:6"),
+        ],
+        ids=["labels-before-detections", "image-before-next-image"],
+    )
+    def test_first_malformed_file_in_read_order_is_named(
+        self, capsys, tmp_path, monkeypatch, bad, named
+    ):
+        shutil.copytree(MICRO, tmp_path / "micro")
+        for name in bad:
+            with open(tmp_path / "micro" / name, "a", encoding="utf-8") as f:
+                f.write("junk\n")
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, "eval", "micro/manifest.json", "micro/detections")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: micro/{named}: expected ")
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(
         "kind, line",

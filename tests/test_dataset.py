@@ -394,3 +394,13 @@ def test_dimension_index_reads_plain_decimals_only(tmp_path, size):
     assert str(info.value) == f"{path}:2: not a plain decimal number: {size!r}"
     path.write_text("frame_é +400 250\n", encoding="utf-8")
     assert read_dimension_index(path) == {"frame_é": ImageDims(400, 250)}
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u2003"])
+def test_dimension_index_rejects_non_ascii_whitespace(tmp_path, space):
+    # str.split splits at these, so the line would read as 'img', 1920, 1080
+    path = tmp_path / "dimensions.txt"
+    path.write_text(f"frame_é 400 250\nimg{space}1920 1080\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_dimension_index(path)
+    assert str(info.value) == f"{path}:2: non-ASCII whitespace {space!r} in the line"

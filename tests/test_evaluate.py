@@ -5,7 +5,15 @@ import types
 
 import pytest
 
-from helpers import fixtures_root, grid_box, random_box, to_oracle_det, to_oracle_gt
+from helpers import (
+    det,
+    fixtures_root,
+    grid_box,
+    gt,
+    random_box,
+    to_oracle_det,
+    to_oracle_gt,
+)
 from oracle import evaluation_report
 from vrueval.annotations import parse_detections
 from vrueval.dataset import load_ground_truth, load_manifest
@@ -232,6 +240,38 @@ def test_rows_path_equals_records_path_and_oracle(tmp_path, box, width, height):
             conf_thresh,
         )
 
+
+
+@pytest.mark.parametrize("box", [random_box, grid_box])
+def test_records_interleaving_images_with_tied_confidences_equal_oracle(box):
+    # records of three images interleave, with two classes, ignore regions and
+    # confidences tied across images: every class is swept in one pass, and tied
+    # detections must rank in input order, not image by image
+    rng = random.Random(3141)
+    names = ("c0", "c1")
+    images = ("a", "b", "c")
+    for n in range(150):
+        gts = [
+            gt(rng.choice(images), rng.randrange(2), box(rng)) for _ in range(rng.randint(1, 10))
+        ]
+        gts += [
+            gt(rng.choice(images), -1, box(rng), ignore=True) for _ in range(rng.randint(0, 2))
+        ]
+        rng.shuffle(gts)
+        dets = [
+            det(rng.choice(images), rng.randrange(2), rng.choice((0.3, 0.6, 0.9)), box(rng))
+            for _ in range(rng.randint(0, 20))
+        ]
+        conf_thresh = (0.2, 0.6)[n % 2]
+        report = evaluate_records(gts, dets, names, len(images), 0.5, conf_thresh)
+        assert report.to_dict() == evaluation_report(
+            [to_oracle_gt(g) for g in gts],
+            [to_oracle_det(d) for d in dets],
+            names,
+            len(images),
+            0.5,
+            conf_thresh,
+        )
 
 def test_stray_detection_files_warned(micro_manifest, tmp_path):
     det_dir = tmp_path / "dets"

@@ -16,7 +16,7 @@ from helpers import (
 from oracle import greedy_match_image, rank
 from vrueval.errors import ContractError
 from vrueval.geometry import BoundingBox, iou
-from vrueval.matching import FP, IGNORED, TP, greedy_sweep
+from vrueval.matching import FP, IGNORED, TP
 from vrueval.metrics import pr_curve
 
 
@@ -24,18 +24,9 @@ def corners(box):
     return (box.x_min, box.y_min, box.x_max, box.y_max)
 
 
-def sweep_inputs(gts, dets):
-    """Sweep rows and truths of records whose scorable ground truths share one class."""
-    truths = {}
-    for g in gts:
-        truths.setdefault(g.image_id, ([], []))[g.ignore].append(corners(g.box))
-    rows = [(d.image_id, d.confidence, *corners(d.box)) for d in dets]
-    return rows, truths
-
-
 def fates(gts, ranked_dets, iou_thresh=0.5):
-    """Fate of each detection, given in rank order: 'tp', 'fp' or 'ignored'."""
-    return list(greedy_sweep(*sweep_inputs(gts, ranked_dets), iou_thresh)[0])
+    """Fate of each class-0 detection, given in rank order: 'tp', 'fp' or 'ignored'."""
+    return list(pr_curve(gts, ranked_dets, 0, iou_thresh).fates)
 
 
 @pytest.fixture
@@ -63,8 +54,7 @@ class TestProtocol:
         ground = gt(box=(0, 0, 10, 10))
         a = det(confidence=0.9, box=(0, 0, 10, 6))
         b = det(confidence=0.8, box=(0, 0, 10, 5.5))
-        rows, truths = sweep_inputs([ground], [b, a])  # the sweep ranks them
-        assert greedy_sweep(rows, truths, 0.5)[0] == (TP, FP)
+        assert pr_curve([ground], [b, a], 0, 0.5).fates == (TP, FP)  # the sweep ranks them
         assert [value for _, value in iou_calls] == [pytest.approx(0.6)]
 
     def test_highest_iou_selected(self):
@@ -137,9 +127,9 @@ class TestContracts:
 
     def test_threshold_range(self):
         with pytest.raises(ContractError):
-            greedy_sweep([], {}, 0.0)
+            pr_curve([], [], 0, 0.0)
         with pytest.raises(ContractError):
-            greedy_sweep([], {}, 1.5)
+            pr_curve([], [], 0, 1.5)
 
 
 def test_iou_runs_only_for_overlapping_pairs(iou_calls):
@@ -155,9 +145,8 @@ def test_iou_runs_only_for_overlapping_pairs(iou_calls):
         (41, 11, 49, 19),  # overlaps the region: IoU 0.64
     ]
     dets = [det(confidence=0.9 - i * 0.1, box=b) for i, b in enumerate(boxes)]
-    rows, truths = sweep_inputs([ground, region], dets)
     # five false positives, a true positive, and a suppressed detection
-    assert greedy_sweep(rows, truths, 0.5)[0] == (FP,) * 5 + (TP, IGNORED)
+    assert pr_curve([ground, region], dets, 0, 0.5).fates == (FP,) * 5 + (TP, IGNORED)
     assert iou_calls == [
         (corners(dets[5].box) + corners(ground.box), pytest.approx(0.9)),
         (corners(dets[6].box) + corners(region.box), pytest.approx(0.64)),
@@ -232,7 +221,7 @@ def test_sweep_iou_equals_geometry_iou(iou_calls):
         rng = random.Random(77)
         for _ in range(300):
             gts, dets = random_instance(rng, n_images=2, with_ignores=True, box=box)
-            greedy_sweep(*sweep_inputs(gts, dets), 0.5)
+            pr_curve(gts, dets, 0, 0.5)
             for args, value in iou_calls:
                 a, b = BoundingBox(*args[:4]), BoundingBox(*args[4:])
                 assert value == iou(a, b) == reference_iou(a, b)
