@@ -226,17 +226,13 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence {confidence} outside [0, 1]")
 
 
-def parse_visdrone_line(
-    line: str,
-    class_map: ClassMap,
-    image_id: str = "",
-    path: str | None = None,
-    lineno: int | None = None,
-) -> GroundTruthRecord | None:
-    """Parse one source annotation line; None when the category is dropped.
+def _visdrone_row(
+    line: str, class_map: ClassMap, path: str | None, lineno: int | None
+) -> tuple | None:
+    """``(class_id, x_min, y_min, x_max, y_max)`` of one source annotation line.
 
-    The box is (left, top, left+width, top+height). Categories in the
-    ignore set yield ignore records with the class-agnostic sentinel id.
+    The box is (left, top, left+width, top+height); an ignore category gets
+    ``IGNORE_CLASS_ID`` and a dropped one None.
     """
     fields = line.strip().rstrip(",").split(",")
     if len(fields) != 8:
@@ -256,21 +252,38 @@ def parse_visdrone_line(
         raise ParseError(f"unmapped source category {category} ({known})", path, lineno)
     if target is None:
         return None
-    box = BoundingBox(float(left), float(top), float(left + width), float(top + height))
-    return GroundTruthRecord(image_id, target, box, ignore=target == IGNORE_CLASS_ID)
+    return (target, float(left), float(top), float(left + width), float(top + height))
 
 
-def parse_visdrone_file(
-    text: str, class_map: ClassMap, image_id: str = "", path: str | None = None
-) -> list[GroundTruthRecord]:
-    records = []
+def parse_visdrone_line(
+    line: str,
+    class_map: ClassMap,
+    image_id: str = "",
+    path: str | None = None,
+    lineno: int | None = None,
+) -> GroundTruthRecord | None:
+    """The record of one source annotation line; None when the category is dropped.
+
+    Categories in the ignore set yield ignore records with the class-agnostic
+    sentinel id.
+    """
+    row = _visdrone_row(line, class_map, path, lineno)
+    if row is None:
+        return None
+    target, *corners = row
+    return GroundTruthRecord(image_id, target, BoundingBox(*corners), target == IGNORE_CLASS_ID)
+
+
+def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None) -> list[tuple]:
+    """Rows ``(class_id, x_min, y_min, x_max, y_max)`` of the kept lines of a source
+    annotation file, in file order; ignore regions under ``IGNORE_CLASS_ID``."""
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = parse_visdrone_line(line, class_map, image_id, path, lineno)
-        if record is not None:
-            records.append(record)
-    return records
+        if line.strip():
+            row = _visdrone_row(line, class_map, path, lineno)
+            if row is not None:
+                rows.append(row)
+    return rows
 
 
 def _box_row(

@@ -34,11 +34,10 @@ from .annotations import (
     GroundTruthRecord,
     parse_box_rows,
     parse_visdrone_file,
-    parse_yolo_labels,
     plain_number,
 )
 from .errors import ConversionError, ParseError, SchemaError, read_input
-from .geometry import BoundingBox, ImageDims, to_normalized
+from .geometry import BoundingBox, ImageDims, normalize
 
 __all__ = [
     "ManifestImage",
@@ -201,21 +200,17 @@ def read_dimension_index(path: Path) -> dict[str, ImageDims]:
     return dims
 
 
-def _format_norm(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _label_lines(records: list[GroundTruthRecord], dims: ImageDims) -> tuple[str, str]:
-    """Render kept records to (label text, ignore sidecar text)."""
+def _label_lines(rows: list[tuple], dims: ImageDims) -> tuple[str, str]:
+    """Render ``(class_id, x_min, y_min, x_max, y_max)`` rows to (label text,
+    ignore sidecar text); ignore regions are the rows under ``IGNORE_CLASS_ID``."""
     label_lines = []
     ignore_lines = []
-    for rec in records:
-        norm = to_normalized(rec.box, dims)
-        coords = " ".join(_format_norm(v) for v in (norm.cx, norm.cy, norm.w, norm.h))
-        if rec.ignore:
-            ignore_lines.append(coords + "\n")
+    for class_id, x_min, y_min, x_max, y_max in rows:
+        coords = "%.6f %.6f %.6f %.6f\n" % normalize(x_min, y_min, x_max, y_max, dims)
+        if class_id == IGNORE_CLASS_ID:
+            ignore_lines.append(coords)
         else:
-            label_lines.append(f"{rec.class_id} {coords}\n")
+            label_lines.append(f"{class_id} {coords}")
     return "".join(label_lines), "".join(ignore_lines)
 
 
@@ -289,25 +284,27 @@ def convert_dataset(
             ann_path = src / "annotations" / f"{image_id}.txt"
             if not ann_path.is_file():
                 held.append(f"missing annotation for {image_id!r}; writing empty label file")
-                records = []
+                rows = []
             else:
-                records = parse_visdrone_file(
-                    read_input(ann_path), class_map, image_id, str(ann_path)
-                )
+                rows = parse_visdrone_file(read_input(ann_path), class_map, str(ann_path))
         else:
-            lbl_path = src_label_dir / f"{image_id}.txt"
-            records = []
-            for rec in parse_yolo_labels(
-                read_input(lbl_path), dims, None, image_id, str(lbl_path)
+            ann_path = src_label_dir / f"{image_id}.txt"
+            text = read_input(ann_path)
+            rows = []
+            for index, (class_id, *corners) in enumerate(
+                parse_box_rows(text, 1, dims, None, str(ann_path))
             ):
                 try:
-                    target = class_map.target(rec.class_id)
-                except KeyError:
-                    raise ParseError(f"unmapped class id {rec.class_id}", str(lbl_path), None)
+                    target = class_map.target(class_id)
+                except KeyError:  # name the line: parse_box_rows skips blank lines
+                    lines = [n for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+                    raise ParseError(f"unmapped class id {class_id}", str(ann_path), lines[index])
                 if target is not None:
-                    ignore = target == IGNORE_CLASS_ID
-                    records.append(GroundTruthRecord(image_id, target, rec.box, ignore=ignore))
-        label_text, ignore_text = _label_lines(records, dims)
+                    rows.append((target, *corners))
+        try:
+            label_text, ignore_text = _label_lines(rows, dims)
+        except ConversionError as exc:
+            raise ConversionError(f"{ann_path}: {exc}") from None
         if source_format == "yolo":
             # carry existing sidecars through verbatim so re-conversion is a no-op
             src_ignore = src_label_dir / f"{image_id}.ignore"

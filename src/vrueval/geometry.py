@@ -20,6 +20,7 @@ __all__ = [
     "check_normalized",
     "to_normalized",
     "from_normalized",
+    "normalize",
     "denormalize",
 ]
 
@@ -128,23 +129,8 @@ def corner_iou(
 
 
 def to_normalized(box: BoundingBox, dims: ImageDims) -> NormalizedBox:
-    """Convert a corner box to a normalized center/size box.
-
-    Raises ConversionError naming the offending component when the result
-    falls outside [0, 1] (box outside or larger than the image).
-    """
-    cx = (box.x_min + box.x_max) / (2.0 * dims.width)
-    cy = (box.y_min + box.y_max) / (2.0 * dims.height)
-    w = (box.x_max - box.x_min) / dims.width
-    h = (box.y_max - box.y_min) / dims.height
-    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
-        if not 0.0 <= value <= 1.0:
-            raise ConversionError(
-                f"normalized {name}={value:.6g} outside [0, 1] for box "
-                f"({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
-                f"in {dims.width}x{dims.height} image"
-            )
-    return NormalizedBox(cx, cy, w, h)
+    """Convert a corner box to a normalized center/size box (see ``normalize``)."""
+    return NormalizedBox(*normalize(box.x_min, box.y_min, box.x_max, box.y_max, dims))
 
 
 def from_normalized(norm: NormalizedBox, dims: ImageDims) -> BoundingBox:
@@ -159,3 +145,23 @@ def denormalize(cx: float, cy: float, w: float, h: float, dims: ImageDims) -> tu
     cx = cx * dims.width
     cy = cy * dims.height
     return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+
+
+def normalize(x_min: float, y_min: float, x_max: float, y_max: float, dims: ImageDims) -> tuple:
+    """``(cx, cy, w, h)`` of a corner box: the inverse of ``denormalize``.
+
+    Raises ConversionError naming the first component outside [0, 1] (a box
+    outside or larger than the image).
+    """
+    cx = (x_min + x_max) / (2.0 * dims.width)
+    cy = (y_min + y_max) / (2.0 * dims.height)
+    w = (x_max - x_min) / dims.width
+    h = (y_max - y_min) / dims.height
+    if 0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0 and 0.0 <= w <= 1.0 and 0.0 <= h <= 1.0:
+        return (cx, cy, w, h)
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+        if not 0.0 <= value <= 1.0:
+            raise ConversionError(
+                f"normalized {name}={value:.6g} outside [0, 1] for box "
+                f"({x_min}, {y_min}, {x_max}, {y_max}) in {dims.width}x{dims.height} image"
+            )

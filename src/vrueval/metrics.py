@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from operator import itemgetter, neg
 
 from .annotations import IGNORE_CLASS_ID, DetectionRecord, GroundTruthRecord
-from .errors import VruEvalError
+from .errors import ContractError, VruEvalError
 from .matching import FP, IGNORED, TP, check_iou_thresh, match_image, rank
 
 __all__ = [
@@ -135,25 +135,33 @@ def sweep_records(
 ) -> list[PRCurve]:
     """``sweep_images`` over records grouped by image: a ``PRCurve`` per id in ``class_ids``.
 
-    Ignore records are class-agnostic; other records of a class not in
-    ``class_ids`` are left out. Records may interleave images, so each
-    detection's input index is its tie key: tied confidences rank in input
-    order across images.
+    Ignore records are class-agnostic; any other record of a class not in
+    ``class_ids`` raises ContractError naming its class id and image. Records
+    may interleave images, so each detection's input index is its tie key:
+    tied confidences rank in input order across images.
     """
     slot = {class_id: s for s, class_id in enumerate(class_ids)}
+
+    def slot_of(record, kind: str) -> int:
+        if record.class_id not in slot:
+            raise ContractError(
+                f"{kind} in image {record.image_id!r} has class id {record.class_id}, "
+                f"outside the evaluated class ids {sorted(slot)}"
+            )
+        return slot[record.class_id]
+
     images: dict[str, tuple[list, list, list]] = {}
     for g in gts:
-        c = IGNORE_CLASS_ID if g.ignore else slot.get(g.class_id)
-        if c is not None:
-            b = g.box
-            truths, _, _ = images.setdefault(g.image_id, ([], [], []))
-            truths.append((c, b.x_min, b.y_min, b.x_max, b.y_max))
+        c = IGNORE_CLASS_ID if g.ignore else slot_of(g, "ground truth")
+        b = g.box
+        truths, _, _ = images.setdefault(g.image_id, ([], [], []))
+        truths.append((c, b.x_min, b.y_min, b.x_max, b.y_max))
     for i, d in enumerate(dets):
-        if d.class_id in slot:
-            _, rows, ties = images.setdefault(d.image_id, ([], [], []))
-            b = d.box
-            rows.append((slot[d.class_id], d.confidence, b.x_min, b.y_min, b.x_max, b.y_max))
-            ties.append(i)
+        c = slot_of(d, "detection")
+        _, rows, ties = images.setdefault(d.image_id, ([], [], []))
+        b = d.box
+        rows.append((c, d.confidence, b.x_min, b.y_min, b.x_max, b.y_max))
+        ties.append(i)
     curves = sweep_images(images.values(), len(slot), iou_thresh)
     return [replace(curve, class_id=class_id) for class_id, curve in zip(class_ids, curves)]
 
@@ -167,8 +175,11 @@ def pr_curve(
     """Sweep the dataset-wide confidence ranking for one class.
 
     Detections are ranked across all images (ties keep input order); each
-    gets one fate. Ignore records are class-agnostic.
+    gets one fate. Ignore records are class-agnostic; records of other
+    classes are left out.
     """
+    gts = [g for g in gts if g.ignore or g.class_id == class_id]
+    dets = [d for d in dets if d.class_id == class_id]
     return sweep_records(gts, dets, (class_id,), iou_thresh)[0]
 
 

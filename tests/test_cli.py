@@ -114,6 +114,21 @@ class TestConvertCommand:
         assert stderr == f"error: {path}:1: non-ASCII whitespace '\\u3000' in the line\n"
         assert not (tmp_path / "out").exists()
 
+    def test_box_outside_image_names_its_file(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        (src / "images").mkdir(parents=True)
+        (src / "annotations").mkdir()
+        (src / "images" / "a.jpg").write_bytes(b"")
+        (src / "annotations" / "a.txt").write_text("10,10,500,20,0,1,0,0\n")
+        (src / "dimensions.txt").write_text("a 100 100\n")
+        code, stdout, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {src / 'annotations' / 'a.txt'}: normalized cx=2.6 outside [0, 1] "
+            "for box (10.0, 10.0, 510.0, 30.0) in 100x100 image\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_identical_bytes(self, capsys, tmp_path):
         out = tmp_path / "out"
 

@@ -231,12 +231,16 @@ class TestConvert:
     def test_yolo_unmapped_class_id(self, tmp_path):
         labels = tmp_path / "src" / "labels"
         labels.mkdir(parents=True)
-        (labels / "img1.txt").write_text("0 0.5 0.5 0.2 0.2\n3 0.25 0.25 0.1 0.1\n")
         (tmp_path / "src" / "dimensions.txt").write_text("img1 400 200\n")
         class_map = ClassMap(mapping={0: 0}, names=("pedestrian",), drop=frozenset({2}))
-        with pytest.raises(ParseError, match="img1.txt: unmapped class id 3"):
-            convert_dataset(tmp_path / "src", class_map, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        for text, lineno in [
+            ("0 0.5 0.5 0.2 0.2\n3 0.25 0.25 0.1 0.1\n", 2),
+            ("\n0 0.5 0.5 0.2 0.2\n  \n3 0.25 0.25 0.1 0.1\n", 4),  # blank lines count
+        ]:
+            (labels / "img1.txt").write_text(text)
+            with pytest.raises(ParseError, match=f"img1.txt:{lineno}: unmapped class id 3$"):
+                convert_dataset(tmp_path / "src", class_map, tmp_path / "out")
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("split", ["../../escaped", "a/b", "{tmp}/abs", "..", "."])
     def test_split_must_be_one_path_component(self, tmp_path, split):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 import types
 
@@ -17,7 +18,7 @@ from helpers import (
 from oracle import evaluation_report
 from vrueval.annotations import parse_detections
 from vrueval.dataset import load_ground_truth, load_manifest
-from vrueval.errors import VruEvalError
+from vrueval.errors import ContractError, VruEvalError
 from vrueval.evaluate import evaluate, evaluate_records
 
 MICRO = fixtures_root() / "micro"
@@ -147,6 +148,15 @@ class TestErrors:
         (det_dir / "img1.txt").write_text("")
         with pytest.raises(VruEvalError, match="img2, img3"):
             evaluate(micro_manifest, det_dir)
+
+    def test_records_of_unknown_class_rejected(self):
+        gts = [gt(), gt(class_id=7)]
+        dets = [det(), det(class_id=7, confidence=0.95)]
+        fault = "ground truth in image 'img' has class id 7, outside the evaluated class ids [0]"
+        with pytest.raises(ContractError, match=re.escape(fault)):
+            evaluate_records(gts, dets, ("pedestrian",), 1)
+        with pytest.raises(ContractError, match="detection in image 'img' has class id 7"):
+            evaluate_records(gts[:1], dets, ("pedestrian",), 1)
 
     def test_no_scorable_classes(self, tmp_path):
         (tmp_path / "labels").mkdir()

@@ -8,8 +8,10 @@ from vrueval.geometry import (
     BoundingBox,
     ImageDims,
     NormalizedBox,
+    denormalize,
     from_normalized,
     iou,
+    normalize,
     to_normalized,
 )
 
@@ -103,12 +105,24 @@ class TestNormalization:
             (back.x_min, back.y_min, back.x_max, back.y_max),
         ):
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6)
+        assert back == BoundingBox(*denormalize(*normalize(7.3, 2.1, 55.9, 88.8, dims), dims))
 
     def test_out_of_range_reports_component(self):
-        with pytest.raises(ConversionError, match="cx"):
-            to_normalized(box(90, 0, 120, 10), ImageDims(100, 100))
-        with pytest.raises(ConversionError, match="h"):
-            to_normalized(box(0, 0, 10, 200), ImageDims(100, 100))
+        dims = ImageDims(100, 100)
+        for corners, component in [
+            ((90, 0, 120, 10), "cx=1.05"),
+            ((0, 0, 10, 200), "h=2"),
+            ((10, 10, 510, 30), "cx=2.6"),
+        ]:
+            with pytest.raises(ConversionError) as from_box:
+                to_normalized(box(*corners), dims)
+            with pytest.raises(ConversionError) as from_corners:
+                normalize(*map(float, corners), dims)
+            shown = ", ".join(str(float(c)) for c in corners)
+            assert str(from_box.value) == (
+                f"normalized {component} outside [0, 1] for box ({shown}) in 100x100 image"
+            )
+            assert str(from_corners.value) == str(from_box.value)
 
     def test_denormalized_may_exceed_image(self):
         # legal: a wide box centered near the left edge reaches past x=0
@@ -134,6 +148,7 @@ class TestNormalization:
             (back.x_min, back.y_min, back.x_max, back.y_max),
         ):
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-9 * scale)
+        assert back == BoundingBox(*denormalize(*normalize(x0, y0, x1, y1, dims), dims))
 
 
 def test_image_dims_must_be_positive():

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import det, gt, random_instance, to_oracle_det, to_oracle_gt
 from oracle import ap_from_points, class_ap, class_confusion, class_pr_points
-from vrueval.errors import VruEvalError
+from vrueval.errors import ContractError, VruEvalError
 from vrueval.matching import FP, IGNORED, TP
 from vrueval.metrics import (
     ConfusionCounts,
@@ -85,6 +85,25 @@ class TestConfusionAtThreshold:
             counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
             assert counts[0].tp + counts[0].fn == scorable
 
+    @pytest.mark.parametrize(
+        "gts, dets, fault",
+        [
+            ([gt(), gt("b", class_id=7)], [det()], "ground truth in image 'b' has class id 7"),
+            ([gt()], [det(), det("c", class_id=7)], "detection in image 'c' has class id 7"),
+            ([gt("d", class_id=-1)], [], "ground truth in image 'd' has class id -1"),
+        ],
+    )
+    def test_class_outside_range_rejected(self, gts, dets, fault):
+        message = f"^{fault}, outside the evaluated class ids \\[0\\]$"
+        with pytest.raises(ContractError, match=message):
+            confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
+
+    def test_ignore_records_of_any_class_accepted(self):
+        regions = [gt(class_id=c, box=(0, 0, 10, 10), ignore=True) for c in (-1, 0, 7)]
+        dets = [det(confidence=0.9, box=(1, 1, 9, 9)), det(confidence=0.8, box=(50, 50, 60, 60))]
+        counts = confusion_at_threshold([*regions, gt(box=(50, 50, 60, 60))], dets, 1, 0.5, 0.2)
+        assert counts[0] == ConfusionCounts(1, 0, 0)
+
 
 def cumulative(fates):
     """(TP, FP) after each fate that is not IGNORED."""
@@ -148,6 +167,13 @@ class TestPRCurve:
         assert pr_curve(gts, [det("d")], 0, 0.5).n_images == 1
         assert pr_curve(gts, [], 1, 0.5).n_images == 1
         assert pr_curve(gts, [], 2, 0.5).n_images == 0
+
+    def test_other_classes_left_out(self):
+        gts = [gt(box=(0, 0, 10, 10)), gt(class_id=7, box=(50, 50, 60, 60))]
+        dets = [det(class_id=7, confidence=0.95, box=(50, 50, 60, 60)), det(confidence=0.5)]
+        curve = pr_curve(gts, dets, 0, 0.5)
+        assert curve == pr_curve(gts[:1], dets[1:], 0, 0.5)
+        assert (curve.fates, curve.n_positives) == ((TP,), 1)
 
     def test_suppressed_detections_are_ignored(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
