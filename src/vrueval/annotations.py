@@ -35,6 +35,7 @@ __all__ = [
     "parse_visdrone_line",
     "parse_visdrone_file",
     "parse_box_rows",
+    "parse_label_file",
     "parse_yolo_labels",
     "parse_detection_rows",
     "parse_detections",
@@ -348,6 +349,25 @@ def parse_box_rows(
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line and not line.isspace()
     ]
+
+
+def parse_label_file(
+    text: str, class_map: ClassMap, dims: ImageDims, path: str | None = None
+) -> list[tuple]:
+    """Rows ``(class_id, x_min, y_min, x_max, y_max)`` of the kept lines of a label-layout
+    source, remapped through ``class_map``, in file order; ignore regions under
+    ``IGNORE_CLASS_ID``."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line and not line.isspace():
+            class_id, *corners = _box_row(line, 1, dims, None, path, lineno)
+            try:
+                target = class_map.target(class_id)
+            except KeyError:
+                raise ParseError(f"unmapped class id {class_id}", path, lineno)
+            if target is not None:
+                rows.append((target, *corners))
+    return rows
 
 
 def parse_yolo_labels(

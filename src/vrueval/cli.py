@@ -219,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except VruEvalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
+    except (VruEvalError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except Exception as exc:  # malformed input must never escape as a traceback

@@ -33,6 +33,7 @@ from .annotations import (
     ClassMap,
     GroundTruthRecord,
     parse_box_rows,
+    parse_label_file,
     parse_visdrone_file,
     plain_number,
 )
@@ -222,13 +223,13 @@ def _detect_source_format(src: Path) -> str:
     raise ConversionError(f"{src}: no annotations/ or labels/ directory found")
 
 
-def _list_image_ids(src: Path, source_format: str, split: str) -> tuple[list[str], Path | None]:
-    """Image ids (sorted) plus the label directory for yolo-format sources."""
+def _list_image_ids(src: Path, source_format: str, split: str) -> tuple[list[str], Path]:
+    """Image ids (sorted) plus the directory of their ``<image_id>.txt`` annotations."""
     if source_format == "visdrone":
         images_dir = src / "images"
         if not images_dir.is_dir():
             raise ConversionError(f"{src}: missing images/ directory")
-        return sorted(p.stem for p in images_dir.iterdir() if p.is_file()), None
+        return sorted(p.stem for p in images_dir.iterdir() if p.is_file()), src / "annotations"
     label_dir = src / "labels" / split
     if not label_dir.is_dir():
         label_dir = src / "labels"
@@ -269,7 +270,7 @@ def convert_dataset(
     if source_format not in ("visdrone", "yolo"):
         raise ConversionError(f"unknown source format {source_format!r}")
     dim_index = read_dimension_index(src / DIMENSION_INDEX)
-    image_ids, src_label_dir = _list_image_ids(src, source_format, split)
+    image_ids, ann_dir = _list_image_ids(src, source_format, split)
     if not image_ids:
         raise ConversionError("no images found")
 
@@ -280,39 +281,20 @@ def convert_dataset(
         if image_id not in dim_index:
             raise ConversionError(f"no dimension entry for image {image_id!r}")
         dims = dim_index[image_id]
+        ann_path = ann_dir / f"{image_id}.txt"
         if source_format == "visdrone":
-            ann_path = src / "annotations" / f"{image_id}.txt"
             if not ann_path.is_file():
                 held.append(f"missing annotation for {image_id!r}; writing empty label file")
                 rows = []
             else:
                 rows = parse_visdrone_file(read_input(ann_path), class_map, str(ann_path))
-        else:
-            ann_path = src_label_dir / f"{image_id}.txt"
-            text = read_input(ann_path)
-            rows = []
-            for index, (class_id, *corners) in enumerate(
-                parse_box_rows(text, 1, dims, None, str(ann_path))
-            ):
-                try:
-                    target = class_map.target(class_id)
-                except KeyError:  # name the line: parse_box_rows skips blank lines
-                    lines = [n for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
-                    raise ParseError(f"unmapped class id {class_id}", str(ann_path), lines[index])
-                if target is not None:
-                    rows.append((target, *corners))
+        else:  # the sidecar's regions come before the class map's ignores
+            labels = parse_label_file(read_input(ann_path), class_map, dims, str(ann_path))
+            rows = _sidecar_rows(ann_path.with_suffix(".ignore"), dims) + labels
         try:
             label_text, ignore_text = _label_lines(rows, dims)
         except ConversionError as exc:
             raise ConversionError(f"{ann_path}: {exc}") from None
-        if source_format == "yolo":
-            # carry existing sidecars through verbatim so re-conversion is a no-op
-            src_ignore = src_label_dir / f"{image_id}.ignore"
-            if src_ignore.is_file():
-                carried = read_input(src_ignore, newline="")
-                if carried and ignore_text and not carried.endswith("\n"):
-                    carried += "\n"
-                ignore_text = carried + ignore_text
         rendered.append((image_id, dims, label_text, ignore_text))
     manifest = DatasetManifest(
         split=split,
@@ -363,6 +345,14 @@ def convert_dataset(
     return manifest
 
 
+def _sidecar_rows(path: Path, dims: ImageDims) -> list[tuple]:
+    """Rows of an ignore-region sidecar under ``IGNORE_CLASS_ID``; none when it is absent."""
+    if not path.is_file():
+        return []
+    regions = parse_box_rows(read_input(path), 0, dims, None, str(path))
+    return [(IGNORE_CLASS_ID, *corners) for corners in regions]
+
+
 def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[tuple]:
     """``(class_id, x_min, y_min, x_max, y_max)`` rows of one manifest image: its
     labels in file order, then its ignore-sidecar regions under ``IGNORE_CLASS_ID``."""
@@ -371,12 +361,7 @@ def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[t
         raise ParseError("label file not found", str(label_path))
     text = read_input(label_path)
     rows = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
-    ignore_path = manifest.ignore_file(image)
-    if ignore_path.is_file():
-        text = read_input(ignore_path)
-        regions = parse_box_rows(text, 0, image.dims, None, str(ignore_path))
-        rows.extend((IGNORE_CLASS_ID, *corners) for corners in regions)
-    return rows
+    return rows + _sidecar_rows(manifest.ignore_file(image), image.dims)
 
 
 def load_ground_truth(manifest: DatasetManifest, image: ManifestImage) -> list[GroundTruthRecord]:

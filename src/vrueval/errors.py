@@ -41,15 +41,14 @@ class SchemaError(VruEvalError):
     """A structured input file (run records, manifest, class map) violates its schema."""
 
 
-def read_input(path: str | os.PathLike, newline: str | None = None) -> str:
-    """The UTF-8 text of an input file, with ``open``'s ``newline`` handling.
+def read_input(path: str | os.PathLike) -> str:
+    """The UTF-8 text of an input file, every line ending turned into ``\\n``.
 
-    The default turns every line ending into ``\\n``; ``newline=""`` keeps
-    the text verbatim. Undecodable bytes raise ParseError naming the path
-    and the offset of the first bad byte.
+    Undecodable bytes raise ParseError naming the path and the offset of the
+    first bad byte.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", str(path)) from None

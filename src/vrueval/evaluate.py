@@ -106,6 +106,15 @@ def evaluate_records(
     return _report(curves, class_names, total_images, iou_thresh, conf_thresh)
 
 
+def _row(
+    class_id: int | None, name: str, images: int, c: ConfusionCounts, ap: float | None
+) -> ClassEval:
+    """One report row: precision, recall and F1 of ``c``, its instances TP + FN."""
+    p = precision(c)
+    r = recall(c)
+    return ClassEval(class_id, name, images, c.tp + c.fn, p, r, f1(p, r), ap)
+
+
 def _report(
     curves: list[PRCurve],
     class_names: tuple[str, ...],
@@ -119,45 +128,19 @@ def _report(
     counts = []
     class_rows = []
     for curve, name in zip(curves, class_names):
-        class_id = curve.class_id
-        aps[class_id] = average_precision(curve)
+        ap = aps[curve.class_id] = average_precision(curve)
         c = curve.counts_at(conf_thresh)
         counts.append(c)
-        p = precision(c)
-        r = recall(c)
-        class_rows.append(
-            ClassEval(
-                class_id=class_id,
-                name=name,
-                images=curve.n_images,
-                instances=c.tp + c.fn,
-                precision=p,
-                recall=r,
-                f1=f1(p, r),
-                ap=aps[class_id],
-            )
-        )
+        class_rows.append(_row(curve.class_id, name, curve.n_images, c, ap))
     map50, excluded = mean_ap(aps)
     warnings = tuple(
         f"class {class_names[c]!r} has no ground-truth instances; excluded from mAP"
         for c in excluded
     )
     pooled = sum(counts, ConfusionCounts(0, 0, 0))
-    pooled_p = precision(pooled)
-    pooled_r = recall(pooled)
-    all_row = ClassEval(
-        class_id=None,
-        name="all",
-        images=total_images,
-        instances=pooled.tp + pooled.fn,
-        precision=pooled_p,
-        recall=pooled_r,
-        f1=f1(pooled_p, pooled_r),
-        ap=map50,
-    )
     return EvalReport(
         classes=tuple(class_rows),
-        all_row=all_row,
+        all_row=_row(None, "all", total_images, pooled, map50),
         iou_thresh=iou_thresh,
         conf_thresh=conf_thresh,
         warnings=warnings + notes,

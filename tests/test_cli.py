@@ -94,12 +94,44 @@ class TestConvertCommand:
         assert code == 0
         assert "warning: workers is deprecated and has no effect" in stderr
 
-    def test_failed_convert_leaves_no_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "layout, fault",
+        [
+            (["annotations/"], "dimensions.txt"),
+            (["dimensions.txt"], "src: no annotations/ or labels/ directory found"),
+            (["annotations/", "dimensions.txt"], "src: missing images/ directory"),
+        ],
+        ids=["no-dimension-index", "no-annotation-dir", "no-images-dir"],
+    )
+    def test_failed_convert_leaves_no_output(self, capsys, tmp_path, layout, fault):
         src = tmp_path / "src"
-        (src / "annotations").mkdir(parents=True)
+        src.mkdir()
+        for name in layout:
+            if name.endswith("/"):
+                (src / name).mkdir()
+            else:
+                (src / name).write_text("")
         code, _, stderr = run(capsys, "convert", src, tmp_path / "out")
         assert code == 2
-        assert "dimensions.txt" in stderr
+        assert fault in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sidecar, fault",
+        [
+            ("not a region\n", "1: expected 4 fields, got 3"),
+            ("0.9 0.9 0.1 0.1\n0.5 0.5 3.0 0.2\n", "2: normalized component w=3.0 outside [0, 1]"),
+        ],
+    )
+    def test_malformed_yolo_sidecar_fails(self, capsys, tmp_path, sidecar, fault):
+        labels = tmp_path / "src" / "labels"
+        labels.mkdir(parents=True)
+        (labels / "img1.txt").write_text("1 0.5 0.5 0.2 0.2\n")
+        (labels / "img1.ignore").write_text(sidecar)
+        (tmp_path / "src" / "dimensions.txt").write_text("img1 400 200\n")
+        code, stdout, stderr = run(capsys, "convert", tmp_path / "src", tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {labels / 'img1.ignore'}:{fault}\n"
         assert not (tmp_path / "out").exists()
 
     def test_dimension_index_with_non_ascii_whitespace_fails(self, capsys, tmp_path):
@@ -290,6 +322,14 @@ class TestEvalCommand:
         )
         assert code == 0
         assert json.loads(out.read_text())["all"]["ap50"] == 0.608333
+
+    def test_unwritable_report_file(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, stderr = run(
+            capsys, "eval", MICRO / "manifest.json", MICRO / "detections", "--out", out
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
     def test_report_file_is_structured_stdout(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -127,10 +127,12 @@ class TestConvert:
         assert (label_dir / "img1.txt").read_text() == "0 0.500000 0.500000 0.200000 0.200000\n"
         assert (label_dir / "img1.ignore").read_text() == "0.250000 0.250000 0.100000 0.100000\n"
 
-    def test_yolo_sidecar_kept_verbatim_before_class_map_ignores(self, tmp_path):
+    def test_yolo_sidecar_rewritten_before_class_map_ignores(self, tmp_path):
         label_dir = self.yolo_source(tmp_path, sidecar=b"0.9 0.9 0.1 0.1\r\n0.8 0.8 0.1 0.1")
         assert (label_dir / "img1.ignore").read_bytes() == (
-            b"0.9 0.9 0.1 0.1\r\n0.8 0.8 0.1 0.1\n0.250000 0.250000 0.100000 0.100000\n"
+            b"0.900000 0.900000 0.100000 0.100000\n"
+            b"0.800000 0.800000 0.100000 0.100000\n"
+            b"0.250000 0.250000 0.100000 0.100000\n"
         )
 
     def test_pedestrian_and_car_keeps_one_line(self, tmp_path):
@@ -264,6 +266,21 @@ class TestConvert:
             "(first: 0000001.ignore); left in place"
         ]
         assert (out / "labels" / "val" / "0000001.txt").is_file()
+
+    def test_reconvert_removes_stale_sidecar(self, tmp_path):
+        out = tmp_path / "out"
+        convert_fixture(out)
+        sidecar = out / "labels" / "val" / "0000001.ignore"
+        assert sidecar.is_file()
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURE, src)
+        annotations = src / "annotations" / "0000001.txt"
+        kept = [line for line in annotations.read_text().splitlines() if line.split(",")[5] != "0"]
+        annotations.write_text("\n".join(kept) + "\n")
+        convert_dataset(src, VRU_MAP, out, split="val", warn=lambda msg: None)
+        assert not sidecar.exists()
+        label = out / "labels" / "val" / "0000001.txt"
+        assert label.read_text() == EXPECTED_LABELS["0000001.txt"]
 
     def test_missing_dimension_entry(self, tmp_path):
         src = tmp_path / "src"
