@@ -6,14 +6,7 @@ precision/recall/F1/AP/mAP reports, throughput budgeting, and
 continual-learning scenario comparison.
 """
 
-from .annotations import (
-    ClassMap,
-    DetectionRecord,
-    GroundTruthRecord,
-    parse_detections,
-    parse_visdrone_line,
-    parse_yolo_labels,
-)
+from .annotations import ClassMap
 from .benchmark import (
     ForgettingEntry,
     ModelRunRecord,
@@ -27,15 +20,13 @@ from .benchmark import (
 from .dataset import DatasetManifest, DatasetStats, convert_dataset, dataset_stats, load_manifest
 from .errors import ContractError, ConversionError, ParseError, SchemaError, VruEvalError
 from .evaluate import ClassEval, EvalReport  # vrueval.evaluate stays the module
-from .geometry import BoundingBox, ImageDims, NormalizedBox, from_normalized, iou, to_normalized
+from .geometry import ImageDims
 from .metrics import (
     ConfusionCounts,
     PRCurve,
     average_precision,
-    confusion_at_threshold,
     f1,
     mean_ap,
-    pr_curve,
     precision,
     recall,
 )
@@ -43,7 +34,6 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "ClassEval",
     "ClassMap",
     "ConfusionCounts",
@@ -51,13 +41,10 @@ __all__ = [
     "ConversionError",
     "DatasetManifest",
     "DatasetStats",
-    "DetectionRecord",
     "EvalReport",
     "ForgettingEntry",
-    "GroundTruthRecord",
     "ImageDims",
     "ModelRunRecord",
-    "NormalizedBox",
     "PRCurve",
     "ParseError",
     "ScenarioReport",
@@ -66,22 +53,14 @@ __all__ = [
     "average_precision",
     "compare_models",
     "computational_time",
-    "confusion_at_threshold",
     "continual_scenario",
     "convert_dataset",
     "dataset_stats",
     "f1",
     "forgetting",
-    "from_normalized",
-    "iou",
     "load_manifest",
     "mean_ap",
-    "parse_detections",
-    "parse_visdrone_line",
-    "parse_yolo_labels",
-    "pr_curve",
     "precision",
     "recall",
     "relative_improvement",
-    "to_normalized",
 ]

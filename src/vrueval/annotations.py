@@ -1,4 +1,4 @@
-"""Annotation records, category remapping, and line-oriented parsers.
+"""Category remapping and line-oriented parsers into rows.
 
 Supported text formats (one object per line):
 
@@ -25,25 +25,19 @@ from typing import Iterable, Mapping
 import yaml
 
 from .errors import ParseError, SchemaError, read_input
-from .geometry import BoundingBox, ImageDims, check_normalized, denormalize
+from .geometry import ImageDims, check_normalized, denormalize
 
 __all__ = [
     "IGNORE_CLASS_ID",
     "ClassMap",
-    "GroundTruthRecord",
-    "DetectionRecord",
-    "parse_visdrone_line",
     "parse_visdrone_file",
     "parse_box_rows",
     "parse_label_file",
-    "parse_yolo_labels",
     "parse_detection_rows",
-    "parse_detections",
-    "parse_ignore_regions",
     "plain_number",
 ]
 
-# Class id carried by ignore-region records; they match detections of any class.
+# Class id carried by ignore-region rows; they match detections of any class.
 IGNORE_CLASS_ID = -1
 
 # Published category ids of the drone-survey source annotations.
@@ -187,29 +181,6 @@ class ClassMap:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    """One annotated object. ``ignore=True`` marks a scoring-exempt region."""
-
-    image_id: str
-    class_id: int
-    box: BoundingBox
-    ignore: bool = False
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One scored model prediction."""
-
-    image_id: str
-    class_id: int
-    confidence: float
-    box: BoundingBox
-
-    def __post_init__(self):
-        _check_confidence(self.confidence)
-
-
 def _plain(text: str) -> bool:
     """Whether ``text`` is ASCII without ``_`` (see the module docstring)."""
     return "_" not in text and text.isascii()
@@ -222,13 +193,8 @@ def plain_number(convert, field: str):
     return convert(field)
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence {confidence} outside [0, 1]")
-
-
 def _visdrone_row(
-    line: str, class_map: ClassMap, path: str | None, lineno: int | None
+    line: str, class_map: ClassMap, path: str | None, lineno: int
 ) -> tuple | None:
     """``(class_id, x_min, y_min, x_max, y_max)`` of one source annotation line.
 
@@ -254,25 +220,6 @@ def _visdrone_row(
     if target is None:
         return None
     return (target, float(left), float(top), float(left + width), float(top + height))
-
-
-def parse_visdrone_line(
-    line: str,
-    class_map: ClassMap,
-    image_id: str = "",
-    path: str | None = None,
-    lineno: int | None = None,
-) -> GroundTruthRecord | None:
-    """The record of one source annotation line; None when the category is dropped.
-
-    Categories in the ignore set yield ignore records with the class-agnostic
-    sentinel id.
-    """
-    row = _visdrone_row(line, class_map, path, lineno)
-    if row is None:
-        return None
-    target, *corners = row
-    return GroundTruthRecord(image_id, target, BoundingBox(*corners), target == IGNORE_CLASS_ID)
 
 
 def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None) -> list[tuple]:
@@ -332,10 +279,10 @@ def _box_row(
         raise ParseError(f"non-numeric normalized field in {box}", path, lineno)
     try:
         check_normalized(cx, cy, w, h)
-        if lead == 2:
-            _check_confidence(head[1])
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno)
+    if lead == 2 and not 0.0 <= head[1] <= 1.0:
+        raise ParseError(f"confidence {head[1]} outside [0, 1]", path, lineno)
     return head + denormalize(cx, cy, w, h, dims)
 
 
@@ -368,20 +315,6 @@ def parse_label_file(
             if target is not None:
                 rows.append((target, *corners))
     return rows
-
-
-def parse_yolo_labels(
-    text: str,
-    dims: ImageDims,
-    num_classes: int | None = None,
-    image_id: str = "",
-    path: str | None = None,
-) -> list[GroundTruthRecord]:
-    """Records of the rows of a label file (``class cx cy w h`` lines)."""
-    return [
-        GroundTruthRecord(image_id, class_id, BoundingBox(*corners))
-        for class_id, *corners in parse_box_rows(text, 1, dims, num_classes, path)
-    ]
 
 
 def parse_detection_rows(
@@ -433,29 +366,3 @@ def parse_detection_rows(
         cy = cy * height
         rows.append((class_id, confidence, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
     return rows
-
-
-def parse_detections(
-    text: str,
-    dims: ImageDims,
-    num_classes: int | None = None,
-    image_id: str = "",
-    path: str | None = None,
-) -> list[DetectionRecord]:
-    """Records of the rows of ``parse_detection_rows``."""
-    return [
-        DetectionRecord(image_id, class_id, confidence, BoundingBox(x_min, y_min, x_max, y_max))
-        for class_id, confidence, x_min, y_min, x_max, y_max in parse_detection_rows(
-            text, dims, num_classes, path
-        )
-    ]
-
-
-def parse_ignore_regions(
-    text: str, dims: ImageDims, image_id: str = "", path: str | None = None
-) -> list[GroundTruthRecord]:
-    """Records of the rows of an ignore-region sidecar (``cx cy w h`` lines)."""
-    return [
-        GroundTruthRecord(image_id, IGNORE_CLASS_ID, BoundingBox(*corners), ignore=True)
-        for corners in parse_box_rows(text, 0, dims, None, path)
-    ]

@@ -56,6 +56,12 @@ DEFAULT_EPSILON = 0.02
 # can drift by a few thousandths; gaps beyond this are real inconsistencies.
 CONSISTENCY_TOL = 0.005
 
+
+def _is_number(value) -> bool:
+    """Whether a YAML value is an int or a float; a bool or a quoted number is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelRunRecord:
     """Metric and timing row for one model configuration."""
@@ -77,7 +83,7 @@ class ModelRunRecord:
             raise SchemaError(f"run name must be a string, got {self.name!r}")
         for key in _NUMBER_FIELDS:
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+            if value is not None and not _is_number(value):
                 raise SchemaError(f"run {self.name!r}: {key}={value!r} is not a number")
         for metric in METRIC_FIELDS:
             value = getattr(self, metric)
@@ -442,6 +448,14 @@ def continual_scenario(
     )
 
 
+def _entry_number(entry: dict, key: str) -> float:
+    """``entry[key]`` as a float; a string or a bool raises ValueError naming the field."""
+    value = entry[key]
+    if not _is_number(value):
+        raise ValueError(f"{key}={value!r} is not a number")
+    return float(value)
+
+
 def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[ForgettingEntry]]:
     """Read run records (and optional forgetting entries) from a YAML file."""
     path = Path(path)
@@ -470,8 +484,8 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
             parsed = ForgettingEntry(
                 task=str(entry["task"]),
                 metric=str(entry["metric"]),
-                before=float(entry["before"]),
-                after=float(entry["after"]),
+                before=_entry_number(entry, "before"),
+                after=_entry_number(entry, "after"),
             )
             if not (0.0 <= parsed.before <= 1.0 and 0.0 <= parsed.after <= 1.0):
                 raise ValueError("before and after must be finite and in [0, 1]")

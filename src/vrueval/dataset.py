@@ -31,14 +31,13 @@ import yaml
 from .annotations import (
     IGNORE_CLASS_ID,
     ClassMap,
-    GroundTruthRecord,
     parse_box_rows,
     parse_label_file,
     parse_visdrone_file,
     plain_number,
 )
 from .errors import ConversionError, ParseError, SchemaError, read_input
-from .geometry import BoundingBox, ImageDims, normalize
+from .geometry import ImageDims, normalize
 
 __all__ = [
     "ManifestImage",
@@ -64,6 +63,8 @@ class ManifestImage:
     label_path: str  # relative to the manifest's directory, never leaving it
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):  # 7 and "7" would read one label file
+            raise TypeError(f"image_id must be a string, got {self.image_id!r}")
         path = Path(self.label_path)
         if path.is_absolute() or ".." in path.parts:
             raise ValueError(
@@ -273,10 +274,18 @@ def convert_dataset(
     image_ids, ann_dir = _list_image_ids(src, source_format, split)
     if not image_ids:
         raise ConversionError("no images found")
+    converted = set(image_ids)
 
     # phase 1: read, remap and render every image; nothing is written yet
     rendered = []
     held = []  # warnings of phase 1, emitted once it has succeeded
+    if source_format == "yolo":
+        orphans = sorted(p.name for p in ann_dir.glob("*.ignore") if p.stem not in converted)
+        if orphans:
+            held.append(
+                f"{len(orphans)} ignore sidecars in {ann_dir} have no label file "
+                f"(first: {orphans[0]}); not converted"
+            )
     for image_id in image_ids:
         if image_id not in dim_index:
             raise ConversionError(f"no dimension entry for image {image_id!r}")
@@ -331,7 +340,6 @@ def convert_dataset(
         yaml.safe_dump(descriptor, sort_keys=False), encoding="utf-8", newline="\n"
     )
     manifest.save(out / MANIFEST)
-    converted = set(image_ids)
     stale = sorted(
         path.name
         for path in label_dir.iterdir()
@@ -364,16 +372,8 @@ def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[t
     return rows + _sidecar_rows(manifest.ignore_file(image), image.dims)
 
 
-def load_ground_truth(manifest: DatasetManifest, image: ManifestImage) -> list[GroundTruthRecord]:
-    """Records of the rows of ``ground_truth_rows``."""
-    return [
-        GroundTruthRecord(image.image_id, c, BoundingBox(*corners), ignore=c == IGNORE_CLASS_ID)
-        for c, *corners in ground_truth_rows(manifest, image)
-    ]
-
-
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
-    """Per-class image/instance counts; ignore records are not counted."""
+    """Per-class image/instance counts; ignore regions are not counted."""
     k = len(manifest.class_names)
     instances = [0] * k
     image_sets = [set() for _ in range(k)]

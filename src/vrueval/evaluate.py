@@ -12,22 +12,20 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotations import DetectionRecord, GroundTruthRecord, parse_detection_rows
+from .annotations import parse_detection_rows
 from .dataset import DatasetManifest, ground_truth_rows
 from .errors import VruEvalError, read_input
 from .metrics import (
     ConfusionCounts,
-    PRCurve,
     average_precision,
     f1,
     mean_ap,
     precision,
     recall,
     sweep_images,
-    sweep_records,
 )
 
-__all__ = ["ClassEval", "EvalReport", "evaluate", "evaluate_records"]
+__all__ = ["ClassEval", "EvalReport", "evaluate"]
 
 DEFAULT_IOU_THRESH = 0.5
 DEFAULT_CONF_THRESH = 0.2
@@ -93,19 +91,6 @@ class EvalReport:
         return [(headers, rows)]
 
 
-def evaluate_records(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    class_names: tuple[str, ...],
-    total_images: int,
-    iou_thresh: float = DEFAULT_IOU_THRESH,
-    conf_thresh: float = DEFAULT_CONF_THRESH,
-) -> EvalReport:
-    """Evaluate already-loaded records; ``evaluate`` reads rows from files."""
-    curves = sweep_records(gts, dets, range(len(class_names)), iou_thresh)
-    return _report(curves, class_names, total_images, iou_thresh, conf_thresh)
-
-
 def _row(
     class_id: int | None, name: str, images: int, c: ConfusionCounts, ap: float | None
 ) -> ClassEval:
@@ -113,38 +98,6 @@ def _row(
     p = precision(c)
     r = recall(c)
     return ClassEval(class_id, name, images, c.tp + c.fn, p, r, f1(p, r), ap)
-
-
-def _report(
-    curves: list[PRCurve],
-    class_names: tuple[str, ...],
-    total_images: int,
-    iou_thresh: float,
-    conf_thresh: float,
-    notes: tuple[str, ...] = (),
-) -> EvalReport:
-    """The report of one sweep per class; ``notes`` follow the mAP warnings."""
-    aps: dict[int, float | None] = {}
-    counts = []
-    class_rows = []
-    for curve, name in zip(curves, class_names):
-        ap = aps[curve.class_id] = average_precision(curve)
-        c = curve.counts_at(conf_thresh)
-        counts.append(c)
-        class_rows.append(_row(curve.class_id, name, curve.n_images, c, ap))
-    map50, excluded = mean_ap(aps)
-    warnings = tuple(
-        f"class {class_names[c]!r} has no ground-truth instances; excluded from mAP"
-        for c in excluded
-    )
-    pooled = sum(counts, ConfusionCounts(0, 0, 0))
-    return EvalReport(
-        classes=tuple(class_rows),
-        all_row=_row(None, "all", total_images, pooled, map50),
-        iou_thresh=iou_thresh,
-        conf_thresh=conf_thresh,
-        warnings=warnings + notes,
-    )
 
 
 def _listed_files(directory: Path) -> set[str]:
@@ -167,9 +120,9 @@ def evaluate(
     Every manifest image must have a detection file ``<image_id>.txt``
     (possibly empty) under ``detections_dir``; other ``*.txt`` files there
     are reported in one warning and not evaluated. Ground truths and
-    detections are read as rows, never as records, and each image is
-    matched as soon as its files are read: across images only each
-    detection's confidence and fate are kept, per class.
+    detections are read as rows, and each image is matched as soon as
+    its files are read: across images only each detection's confidence
+    and fate are kept, per class.
     """
     detections_dir = Path(detections_dir)
     listed = _listed_files(detections_dir)
@@ -189,12 +142,29 @@ def evaluate(
             yield truths, parse_detection_rows(read_input(det_path), img.dims, k, str(det_path))
 
     curves = sweep_images(images(), k, iou_thresh)
-    notes = ()
+    aps: dict[int, float | None] = {}
+    counts = []
+    class_rows = []
+    for curve, name in zip(curves, manifest.class_names):
+        ap = aps[curve.class_id] = average_precision(curve)
+        c = curve.counts_at(conf_thresh)
+        counts.append(c)
+        class_rows.append(_row(curve.class_id, name, curve.n_images, c, ap))
+    map50, excluded = mean_ap(aps)
+    warnings = [
+        f"class {manifest.class_names[c]!r} has no ground-truth instances; excluded from mAP"
+        for c in excluded
+    ]
     if stray:
-        notes = (
+        warnings.append(
             f"{len(stray)} detection files in {detections_dir} belong to no manifest image "
-            f"(first: {stray[0]}); not evaluated",
+            f"(first: {stray[0]}); not evaluated"
         )
-    return _report(
-        curves, manifest.class_names, len(manifest.images), iou_thresh, conf_thresh, notes
+    pooled = sum(counts, ConfusionCounts(0, 0, 0))
+    return EvalReport(
+        classes=tuple(class_rows),
+        all_row=_row(None, "all", len(manifest.images), pooled, map50),
+        iou_thresh=iou_thresh,
+        conf_thresh=conf_thresh,
+        warnings=tuple(warnings),
     )

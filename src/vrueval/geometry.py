@@ -1,4 +1,4 @@
-"""Bounding-box geometry: corner boxes, normalized center boxes, and IoU.
+"""Bounding-box geometry on plain numbers: corners, normalized center boxes, and IoU.
 
 Coordinates are continuous reals with open-convention areas
 (``(x_max - x_min) * (y_max - y_min)``, no +1 pixel correction), so results
@@ -13,13 +13,8 @@ from .errors import ConversionError
 
 __all__ = [
     "ImageDims",
-    "BoundingBox",
-    "NormalizedBox",
-    "iou",
     "corner_iou",
     "check_normalized",
-    "to_normalized",
-    "from_normalized",
     "normalize",
     "denormalize",
 ]
@@ -40,47 +35,6 @@ class ImageDims:
             raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in absolute pixel corner coordinates.
-
-    Zero-area boxes are allowed; negative extent is not.
-    """
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError(
-                f"negative box extent: ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-
-@dataclass(frozen=True)
-class NormalizedBox:
-    """Center/size box as fractions of image dimensions, all in [0, 1].
-
-    Denormalizing may legally produce corners outside the image (e.g. a
-    centered box wider than half the image); clamping is a parser policy,
-    never applied here.
-    """
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        check_normalized(self.cx, self.cy, self.w, self.h)
-
-
 def check_normalized(cx: float, cy: float, w: float, h: float) -> None:
     """Raise ValueError naming the first of cx, cy, w, h outside [0, 1].
 
@@ -91,11 +45,6 @@ def check_normalized(cx: float, cy: float, w: float, h: float) -> None:
     for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"normalized component {name}={value} outside [0, 1]")
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0.0 when the union is empty."""
-    return corner_iou(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
 
 
 def corner_iou(
@@ -110,8 +59,9 @@ def corner_iou(
 ) -> float:
     """IoU of two boxes given as corners: the one IoU arithmetic.
 
-    The areas are computed as ``BoundingBox.area`` computes them, and the
-    union is ``a_area + b_area - inter``.
+    Each area is ``(x_max - x_min) * (y_max - y_min)``, and the union is
+    ``a_area + b_area - inter``; 0.0 when the boxes do not overlap or the
+    union is empty.
     """
     ix_min = max(ax_min, bx_min)
     iy_min = max(ay_min, by_min)
@@ -126,16 +76,6 @@ def corner_iou(
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def to_normalized(box: BoundingBox, dims: ImageDims) -> NormalizedBox:
-    """Convert a corner box to a normalized center/size box (see ``normalize``)."""
-    return NormalizedBox(*normalize(box.x_min, box.y_min, box.x_max, box.y_max, dims))
-
-
-def from_normalized(norm: NormalizedBox, dims: ImageDims) -> BoundingBox:
-    """Inverse of to_normalized, up to floating-point round-trip error."""
-    return BoundingBox(*denormalize(norm.cx, norm.cy, norm.w, norm.h, dims))
 
 
 def denormalize(cx: float, cy: float, w: float, h: float, dims: ImageDims) -> tuple:

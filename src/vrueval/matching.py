@@ -1,13 +1,14 @@
 """Greedy detection-to-ground-truth matching, one image at a time.
 
 Protocol: a class's detections are ranked across all images in strictly
-descending confidence (ties broken by ascending input order) and matched
-in that order. Each detection claims the still-unmatched ground truth of
-its image and class with the highest IoU, provided that IoU meets the
-threshold; IoU ties go to the lowest ground-truth index. A detection that
-cannot claim a ground truth but overlaps an ignore region of its image at
-or above the threshold is suppressed -- neither TP nor FP. Everything else
-is a false positive, and unmatched ground truths are false negatives.
+descending confidence (ties broken by feed order: image after image, rows
+in file order within an image) and matched in that order. Each detection
+claims the still-unmatched ground truth of its image and class with the
+highest IoU, provided that IoU meets the threshold; IoU ties go to the
+lowest ground-truth index. A detection that cannot claim a ground truth
+but overlaps an ignore region of its image at or above the threshold is
+suppressed -- neither TP nor FP. Everything else is a false positive, and
+unmatched ground truths are false negatives.
 
 A detection's fate depends only on the detections ranked above it in its
 own image, so each image is matched on its own (``match_image``), in the
@@ -75,18 +76,14 @@ def match_image(
     return fates
 
 
-def rank(
-    confidences: list[float], fates: list[str], ties: list = ()
-) -> tuple[tuple[str, ...], tuple[float, ...]]:
+def rank(confidences: list[float], fates: list[str]) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """One class's fates and confidences in rank order: descending confidence.
 
     ``confidences[i]`` and ``fates[i]`` belong to one detection. Detections
     of equal confidence keep their given order, which the stable sort keeps,
     so images given one after another may each come in their own rank order.
-    With ``ties``, one key per detection, they rank by ascending key instead.
     """
-    order = sorted(range(len(fates)), key=ties.__getitem__) if ties else range(len(fates))
-    order = sorted(order, key=confidences.__getitem__, reverse=True)
+    order = sorted(range(len(fates)), key=confidences.__getitem__, reverse=True)
     return tuple(map(fates.__getitem__, order)), tuple(map(confidences.__getitem__, order))
 
 

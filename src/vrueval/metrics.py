@@ -11,12 +11,12 @@ envelope, accumulated over distinct recall steps.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from operator import itemgetter, neg
 
-from .annotations import IGNORE_CLASS_ID, DetectionRecord, GroundTruthRecord
-from .errors import ContractError, VruEvalError
+from .annotations import IGNORE_CLASS_ID
+from .errors import VruEvalError
 from .matching import FP, IGNORED, TP, check_iou_thresh, match_image, rank
 
 __all__ = [
@@ -25,10 +25,7 @@ __all__ = [
     "precision",
     "recall",
     "f1",
-    "confusion_at_threshold",
-    "pr_curve",
     "sweep_images",
-    "sweep_records",
     "average_precision",
     "mean_ap",
 ]
@@ -94,18 +91,15 @@ def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[
     ``(class_id, x_min, y_min, x_max, y_max)``, ignore regions under
     ``IGNORE_CLASS_ID``, and detection rows ``(class_id, confidence, x_min,
     y_min, x_max, y_max)``. Across images only each detection's confidence
-    and fate are kept. Tied confidences rank in feed order, image after image,
-    unless every image comes as ``(truths, detections, ties)`` with one tie
-    key per detection row: then they rank by ascending key.
+    and fate are kept. Tied confidences rank in feed order, image after image.
     """
     check_iou_thresh(iou_thresh)
     k = num_classes
     confidences: list[list[float]] = [[] for _ in range(k)]
     fates: list[list[str]] = [[] for _ in range(k)]
-    keys: list[list] = [[] for _ in range(k)]
     n_positives = [0] * k
     n_images = [0] * k
-    for truths, detections, *ties in images:
+    for truths, detections in images:
         scorable: list[list] = [[] for _ in range(k)]
         regions = []
         for row in truths:
@@ -114,85 +108,14 @@ def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[
         # a stable sort: confidence ties keep row order
         for row in sorted(detections, key=itemgetter(1), reverse=True):
             ranked[row[0]].append(row)
-        if ties:  # the same sort, carrying each row's tie key
-            for row, key in sorted(zip(detections, ties[0]), key=lambda p: p[0][1], reverse=True):
-                keys[row[0]].append(key)
         for class_id, candidates in enumerate(scorable):
             if candidates:
                 n_positives[class_id] += len(candidates)
                 n_images[class_id] += 1
             confidences[class_id] += map(itemgetter(1), ranked[class_id])
             fates[class_id] += match_image(ranked[class_id], candidates, regions, iou_thresh)
-    merged = [rank(confidences[c], fates[c], keys[c]) for c in range(k)]
+    merged = [rank(confidences[c], fates[c]) for c in range(k)]
     return [PRCurve(c, f, n_positives[c], conf, n_images[c]) for c, (f, conf) in enumerate(merged)]
-
-
-def sweep_records(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    class_ids: Sequence[int],
-    iou_thresh: float,
-) -> list[PRCurve]:
-    """``sweep_images`` over records grouped by image: a ``PRCurve`` per id in ``class_ids``.
-
-    Ignore records are class-agnostic; any other record of a class not in
-    ``class_ids`` raises ContractError naming its class id and image. Records
-    may interleave images, so each detection's input index is its tie key:
-    tied confidences rank in input order across images.
-    """
-    slot = {class_id: s for s, class_id in enumerate(class_ids)}
-
-    def slot_of(record, kind: str) -> int:
-        if record.class_id not in slot:
-            raise ContractError(
-                f"{kind} in image {record.image_id!r} has class id {record.class_id}, "
-                f"outside the evaluated class ids {sorted(slot)}"
-            )
-        return slot[record.class_id]
-
-    images: dict[str, tuple[list, list, list]] = {}
-    for g in gts:
-        c = IGNORE_CLASS_ID if g.ignore else slot_of(g, "ground truth")
-        b = g.box
-        truths, _, _ = images.setdefault(g.image_id, ([], [], []))
-        truths.append((c, b.x_min, b.y_min, b.x_max, b.y_max))
-    for i, d in enumerate(dets):
-        c = slot_of(d, "detection")
-        _, rows, ties = images.setdefault(d.image_id, ([], [], []))
-        b = d.box
-        rows.append((c, d.confidence, b.x_min, b.y_min, b.x_max, b.y_max))
-        ties.append(i)
-    curves = sweep_images(images.values(), len(slot), iou_thresh)
-    return [replace(curve, class_id=class_id) for class_id, curve in zip(class_ids, curves)]
-
-
-def pr_curve(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    class_id: int,
-    iou_thresh: float,
-) -> PRCurve:
-    """Sweep the dataset-wide confidence ranking for one class.
-
-    Detections are ranked across all images (ties keep input order); each
-    gets one fate. Ignore records are class-agnostic; records of other
-    classes are left out.
-    """
-    gts = [g for g in gts if g.ignore or g.class_id == class_id]
-    dets = [d for d in dets if d.class_id == class_id]
-    return sweep_records(gts, dets, (class_id,), iou_thresh)[0]
-
-
-def confusion_at_threshold(
-    gts: list[GroundTruthRecord],
-    dets: list[DetectionRecord],
-    num_classes: int,
-    iou_thresh: float,
-    conf_thresh: float,
-) -> dict[int, ConfusionCounts]:
-    """Per-class TP/FP/FN of the detections at or above the confidence cut."""
-    curves = sweep_records(gts, dets, range(num_classes), iou_thresh)
-    return {curve.class_id: curve.counts_at(conf_thresh) for curve in curves}
 
 
 def average_precision(curve: PRCurve) -> float | None:

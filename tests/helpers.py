@@ -1,7 +1,9 @@
-"""Shared builders for metric tests: records, random instances, conversions.
+"""Shared builders for metric tests: oracle records, random instances, rows.
 
-Random instances are generated as plain dicts (the oracle's format) and
-converted to library records, so both sides consume the same data.
+Ground truths and detections are built as plain dicts, the oracle's
+format (``tests/oracle.py``); ``image_rows`` turns them into the per-image
+rows that ``vrueval.metrics.sweep_images`` takes, so both sides consume
+the same data.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ import os
 import random
 from pathlib import Path
 
-from vrueval.annotations import DetectionRecord, GroundTruthRecord
-from vrueval.geometry import BoundingBox
+from vrueval.annotations import IGNORE_CLASS_ID, parse_detection_rows
+from vrueval.dataset import ground_truth_rows
+from vrueval.errors import read_input
 
 
 def fixtures_root() -> Path:
@@ -20,29 +23,39 @@ def fixtures_root() -> Path:
 
 
 def gt(image_id="img", class_id=0, box=(0, 0, 10, 10), ignore=False):
-    return GroundTruthRecord(image_id, class_id, BoundingBox(*map(float, box)), ignore)
+    box = tuple(map(float, box))
+    return {"image_id": image_id, "class_id": class_id, "box": box, "ignore": ignore}
 
 
 def det(image_id="img", class_id=0, confidence=0.9, box=(0, 0, 10, 10)):
-    return DetectionRecord(image_id, class_id, confidence, BoundingBox(*map(float, box)))
+    box = tuple(map(float, box))
+    return {"image_id": image_id, "class_id": class_id, "confidence": confidence, "box": box}
 
 
-def to_oracle_gt(rec: GroundTruthRecord) -> dict:
-    return {
-        "image_id": rec.image_id,
-        "class_id": rec.class_id,
-        "box": (rec.box.x_min, rec.box.y_min, rec.box.x_max, rec.box.y_max),
-        "ignore": rec.ignore,
-    }
+def image_rows(gts: list[dict], dets: list[dict]) -> list[tuple[list, list]]:
+    """``(truths, detections)`` rows per image, images in order of first appearance
+    in ``gts`` then ``dets``; an ignore record's row is under ``IGNORE_CLASS_ID``."""
+    images: dict[str, tuple[list, list]] = {}
+    for g in gts:
+        class_id = IGNORE_CLASS_ID if g["ignore"] else g["class_id"]
+        images.setdefault(g["image_id"], ([], []))[0].append((class_id, *g["box"]))
+    for d in dets:
+        row = (d["class_id"], d["confidence"], *d["box"])
+        images.setdefault(d["image_id"], ([], []))[1].append(row)
+    return list(images.values())
 
 
-def to_oracle_det(rec: DetectionRecord) -> dict:
-    return {
-        "image_id": rec.image_id,
-        "class_id": rec.class_id,
-        "confidence": rec.confidence,
-        "box": (rec.box.x_min, rec.box.y_min, rec.box.x_max, rec.box.y_max),
-    }
+def read_records(manifest, detections_dir: Path) -> tuple[list, list]:
+    """Oracle records of a converted dataset and its detection files, image by image."""
+    num_classes = len(manifest.class_names)
+    gts, dets = [], []
+    for img in manifest.images:
+        for class_id, *box in ground_truth_rows(manifest, img):
+            gts.append(gt(img.image_id, class_id, box, ignore=class_id == IGNORE_CLASS_ID))
+        text = read_input(detections_dir / f"{img.image_id}.txt")
+        for class_id, confidence, *box in parse_detection_rows(text, img.dims, num_classes):
+            dets.append(det(img.image_id, class_id, confidence, box))
+    return gts, dets
 
 
 def random_box(rng: random.Random, span: float = 100.0) -> tuple:

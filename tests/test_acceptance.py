@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import det, fixtures_root, gt, to_oracle_det, to_oracle_gt
+from helpers import det, fixtures_root, gt, image_rows, read_records
 from oracle import class_ap, evaluation_report
 from vrueval.benchmark import (
     compare_models,
@@ -28,16 +28,8 @@ from vrueval.benchmark import (
 )
 from vrueval.cli import main
 from vrueval.dataset import convert_dataset, load_manifest
-from vrueval.annotations import ClassMap, parse_yolo_labels
-from vrueval.metrics import (
-    average_precision,
-    confusion_at_threshold,
-    f1,
-    mean_ap,
-    pr_curve,
-    precision,
-    recall,
-)
+from vrueval.annotations import ClassMap, parse_box_rows
+from vrueval.metrics import average_precision, f1, mean_ap, precision, recall, sweep_images
 
 DATA = Path(__file__).parents[1] / "data"
 FIXTURES = fixtures_root()
@@ -162,10 +154,8 @@ def test_criterion4_ap_oracle_equivalence():
     for i in range(n_instances):
         gts, dets = _random_instance(rng)
         thresh = thresholds[i % len(thresholds)]
-        got = average_precision(pr_curve(gts, dets, 0, thresh))
-        expected = class_ap(
-            [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, thresh
-        )
+        got = average_precision(sweep_images(image_rows(gts, dets), 1, thresh)[0])
+        expected = class_ap(gts, dets, 0, thresh)
         if expected is None:
             assert got is None
         else:
@@ -221,11 +211,11 @@ def test_criterion5_bounds():
     @given(instance=instances())
     def prop(instance):
         gts, dets = instance
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-        p, r = precision(counts[0]), recall(counts[0])
+        counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
+        p, r = precision(counts), recall(counts)
         assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0
         assert 0.0 <= f1(p, r) <= 1.0
-        ap = average_precision(pr_curve(gts, dets, 0, 0.5))
+        ap = average_precision(sweep_images(image_rows(gts, dets), 1, 0.5)[0])
         if ap is not None:
             assert 0.0 <= ap <= 1.0
             value, _ = mean_ap({0: ap})
@@ -239,9 +229,9 @@ def test_criterion5_tp_plus_fn_identity():
     @given(instance=instances())
     def prop(instance):
         gts, dets = instance
-        scorable = sum(1 for g in gts if not g.ignore)
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-        assert counts[0].tp + counts[0].fn == scorable
+        scorable = sum(1 for g in gts if not g["ignore"])
+        counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
+        assert counts.tp + counts.fn == scorable
 
     _timed(prop)
 
@@ -251,8 +241,8 @@ def test_criterion5_f1_harmonic_bound():
     @given(instance=instances())
     def prop(instance):
         gts, dets = instance
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-        p, r = precision(counts[0]), recall(counts[0])
+        counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
+        p, r = precision(counts), recall(counts)
         assert f1(p, r) <= (p + r) / 2 + 1e-12
 
     _timed(prop)
@@ -263,16 +253,15 @@ def test_criterion5_ap_rank_invariance():
     @given(instance=instances())
     def prop(instance):
         gts, dets = instance
-        base = average_precision(pr_curve(gts, dets, 0, 0.5))
+        base = average_precision(sweep_images(image_rows(gts, dets), 1, 0.5)[0])
         # strictly monotone rescalings that preserve distinctness exactly:
         # halving (power of two) and squaring on the 1/1000 confidence grid
         for rescale in (lambda c: c / 2.0, lambda c: c * c):
             rescaled = [
-                det(d.image_id, d.class_id, rescale(d.confidence),
-                    (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max))
+                det(d["image_id"], d["class_id"], rescale(d["confidence"]), d["box"])
                 for d in dets
             ]
-            assert average_precision(pr_curve(gts, rescaled, 0, 0.5)) == base
+            assert average_precision(sweep_images(image_rows(gts, rescaled), 1, 0.5)[0]) == base
 
     _timed(prop)
 
@@ -286,8 +275,8 @@ def test_criterion5_ap_monotone_in_iou_threshold():
         if lo == hi:
             hi = lo + 1 if lo < 9 else 9
             lo = hi - 1
-        ap_lo = average_precision(pr_curve(gts, dets, 0, lo / 10.0))
-        ap_hi = average_precision(pr_curve(gts, dets, 0, hi / 10.0))
+        ap_lo = average_precision(sweep_images(image_rows(gts, dets), 1, lo / 10.0)[0])
+        ap_hi = average_precision(sweep_images(image_rows(gts, dets), 1, hi / 10.0)[0])
         if ap_lo is None:
             assert ap_hi is None
         else:
@@ -334,13 +323,12 @@ def test_criterion6_conversion_round_trip(tmp_path):
         "0000003": [],
     }
     for img in manifest.images:
-        recs = parse_yolo_labels(
-            manifest.label_file(img).read_text(), img.dims, len(manifest.class_names)
+        rows = parse_box_rows(
+            manifest.label_file(img).read_text(), 1, img.dims, len(manifest.class_names)
         )
         expected = expected_boxes[img.image_id]
-        assert len(recs) == len(expected)
-        for rec, corners in zip(recs, expected):
-            got = (rec.box.x_min, rec.box.y_min, rec.box.x_max, rec.box.y_max)
+        assert len(rows) == len(expected)
+        for (_, *got), corners in zip(rows, expected):
             for g, e in zip(got, corners):
                 assert abs(g - e) <= 1e-4
     elapsed = time.perf_counter() - start
@@ -373,18 +361,8 @@ def test_criterion7_end_to_end_micro_dataset(capsys, tmp_path):
     assert code == 0
 
     # independent brute-force recomputation from the fixture files
-    from vrueval.annotations import parse_detections
-    from vrueval.dataset import load_ground_truth
-
     manifest = load_manifest(micro / "manifest.json")
-    gts, dets = [], []
-    for img in manifest.images:
-        gts.extend(to_oracle_gt(g) for g in load_ground_truth(manifest, img))
-        text = (micro / "detections" / f"{img.image_id}.txt").read_text()
-        dets.extend(
-            to_oracle_det(d)
-            for d in parse_detections(text, img.dims, 2, img.image_id)
-        )
+    gts, dets = read_records(manifest, micro / "detections")
     oracle_report = evaluation_report(
         gts, dets, manifest.class_names, len(manifest.images), 0.5, 0.2
     )

@@ -5,16 +5,28 @@ import pytest
 from vrueval.annotations import (
     IGNORE_CLASS_ID,
     ClassMap,
+    parse_box_rows,
     parse_detection_rows,
-    parse_detections,
-    parse_ignore_regions,
-    parse_visdrone_line,
-    parse_yolo_labels,
+    parse_visdrone_file,
 )
 from vrueval.errors import ParseError, SchemaError
-from vrueval.geometry import BoundingBox, ImageDims, denormalize
+from vrueval.geometry import ImageDims, denormalize
 
 VRU_MAP = ClassMap.visdrone_default()
+
+
+def visdrone_row(line, path=None, lineno=1):
+    """The row of a source annotation line read as line ``lineno`` of a file; None if dropped."""
+    rows = parse_visdrone_file("\n" * (lineno - 1) + line, VRU_MAP, path)
+    return rows[0] if rows else None
+
+
+def label_rows(text, dims, num_classes=None, path=None):
+    return parse_box_rows(text, 1, dims, num_classes, path)
+
+
+def region_rows(text, dims, path=None):
+    return parse_box_rows(text, 0, dims, None, path)
 
 
 class TestClassMap:
@@ -72,42 +84,36 @@ class TestClassMap:
 
 class TestVisdroneLine:
     def test_pedestrian_line(self):
-        rec = parse_visdrone_line("684,8,273,116,0,1,0,0", VRU_MAP, "img")
-        assert rec.class_id == 0
-        assert rec.box == BoundingBox(684, 8, 957, 124)
-        assert not rec.ignore
+        assert visdrone_row("684,8,273,116,0,1,0,0") == (0, 684.0, 8.0, 957.0, 124.0)
 
     def test_dropped_category(self):
-        assert parse_visdrone_line("10,10,20,20,1,4,0,0", VRU_MAP) is None
+        assert visdrone_row("10,10,20,20,1,4,0,0") is None
 
     def test_zero_width_rejected(self):
         with pytest.raises(ParseError):
-            parse_visdrone_line("10,10,0,20,1,1,0,0", VRU_MAP)
+            visdrone_row("10,10,0,20,1,1,0,0")
 
     def test_negative_height_rejected(self):
         with pytest.raises(ParseError):
-            parse_visdrone_line("10,10,20,-5,1,1,0,0", VRU_MAP)
+            visdrone_row("10,10,20,-5,1,1,0,0")
 
     def test_trailing_comma_tolerated(self):
-        rec = parse_visdrone_line("684,8,273,116,0,1,0,0,", VRU_MAP)
-        assert rec.class_id == 0
+        assert visdrone_row("684,8,273,116,0,1,0,0,")[0] == 0
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match="8"):
-            parse_visdrone_line("1,2,3,4,5,6,7", VRU_MAP)
+            visdrone_row("1,2,3,4,5,6,7")
 
     def test_non_numeric_field(self):
         with pytest.raises(ParseError):
-            parse_visdrone_line("a,8,273,116,0,1,0,0", VRU_MAP)
+            visdrone_row("a,8,273,116,0,1,0,0")
 
     def test_ignored_region(self):
-        rec = parse_visdrone_line("5,5,10,10,0,0,0,0", VRU_MAP)
-        assert rec.ignore
-        assert rec.class_id == IGNORE_CLASS_ID
+        assert visdrone_row("5,5,10,10,0,0,0,0")[0] == IGNORE_CLASS_ID
 
     def test_unmapped_category_is_error(self):
         with pytest.raises(ParseError, match="category 12"):
-            parse_visdrone_line("5,5,10,10,0,12,0,0", VRU_MAP)
+            visdrone_row("5,5,10,10,0,12,0,0")
 
     @pytest.mark.parametrize(
         "line", ["1_0,8,27,11,0,1,0,0", "10,8,27,11,0,\u0661,0,0", "10,8,2\u06f7,11,0,1,0,0"]
@@ -115,83 +121,72 @@ class TestVisdroneLine:
     def test_number_spellings_beyond_decimals_rejected(self, line):
         # int() reads these as 10, category 1 and width 27
         with pytest.raises(ParseError) as info:
-            parse_visdrone_line(line, VRU_MAP, path="ann.txt", lineno=2)
+            visdrone_row(line, path="ann.txt", lineno=2)
         assert str(info.value) == f"ann.txt:2: non-numeric field in annotation line: {line!r}"
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="ann.txt:3"):
-            parse_visdrone_line("bad", VRU_MAP, path="ann.txt", lineno=3)
+            visdrone_row("bad", path="ann.txt", lineno=3)
 
 
 class TestYoloLabels:
     dims = ImageDims(100, 100)
 
     def test_full_image_box(self):
-        recs = parse_yolo_labels("0 0.5 0.5 1.0 1.0", self.dims)
-        assert len(recs) == 1
-        assert recs[0].class_id == 0
-        assert recs[0].box == BoundingBox(0, 0, 100, 100)
-        assert not recs[0].ignore
+        assert label_rows("0 0.5 0.5 1.0 1.0", self.dims) == [(0, 0.0, 0.0, 100.0, 100.0)]
 
     def test_empty_file(self):
-        assert parse_yolo_labels("", self.dims) == []
+        assert label_rows("", self.dims) == []
 
     def test_blank_lines_skipped(self):
-        assert len(parse_yolo_labels("\n0 0.5 0.5 0.2 0.2\n\n", self.dims)) == 1
+        assert len(label_rows("\n0 0.5 0.5 0.2 0.2\n\n", self.dims)) == 1
 
     def test_out_of_range_component(self):
         with pytest.raises(ParseError, match="h"):
-            parse_yolo_labels("2 0.5 0.5 0.5 1.5", self.dims)
+            label_rows("2 0.5 0.5 0.5 1.5", self.dims)
 
     def test_field_count(self):
         with pytest.raises(ParseError, match="5 fields"):
-            parse_yolo_labels("0 0.5 0.5 0.5", self.dims)
+            label_rows("0 0.5 0.5 0.5", self.dims)
 
     def test_class_out_of_range(self):
         with pytest.raises(ParseError, match="class id 3"):
-            parse_yolo_labels("3 0.5 0.5 0.2 0.2", self.dims, num_classes=3)
+            label_rows("3 0.5 0.5 0.2 0.2", self.dims, num_classes=3)
 
     def test_negative_class(self):
         with pytest.raises(ParseError):
-            parse_yolo_labels("-1 0.5 0.5 0.2 0.2", self.dims)
+            label_rows("-1 0.5 0.5 0.2 0.2", self.dims)
 
 
 class TestDetections:
     dims = ImageDims(100, 100)
 
     def test_basic_line(self):
-        recs = parse_detections("0 0.90 0.5 0.5 0.2 0.2", self.dims)
-        assert len(recs) == 1
-        d = recs[0]
-        assert d.class_id == 0
-        assert d.confidence == 0.90
-        assert d.box == BoundingBox(40, 40, 60, 60)
+        rows = parse_detection_rows("0 0.90 0.5 0.5 0.2 0.2", self.dims)
+        assert rows == [(0, 0.90, 40.0, 40.0, 60.0, 60.0)]
 
     def test_confidence_above_one(self):
         with pytest.raises(ParseError, match="confidence"):
-            parse_detections("1 1.50 0.5 0.5 0.2 0.2", self.dims)
+            parse_detection_rows("1 1.50 0.5 0.5 0.2 0.2", self.dims)
 
     def test_empty_file(self):
-        assert parse_detections("", self.dims) == []
+        assert parse_detection_rows("", self.dims) == []
 
     def test_field_count(self):
         with pytest.raises(ParseError, match="6 fields"):
-            parse_detections("1 0.5 0.5 0.5 0.2", self.dims)
+            parse_detection_rows("1 0.5 0.5 0.5 0.2", self.dims)
 
 
 def test_ignore_region_sidecar():
-    recs = parse_ignore_regions("0.5 0.5 0.2 0.2\n", ImageDims(100, 100))
-    assert len(recs) == 1
-    assert recs[0].ignore
-    assert recs[0].box == BoundingBox(40, 40, 60, 60)
+    assert region_rows("0.5 0.5 0.2 0.2\n", ImageDims(100, 100)) == [(40.0, 40.0, 60.0, 60.0)]
     with pytest.raises(ParseError):
-        parse_ignore_regions("0.5 0.5 0.2", ImageDims(100, 100))
+        region_rows("0.5 0.5 0.2", ImageDims(100, 100))
 
 
 LINE_PARSERS = {
-    "detection": (parse_detections, "0 0.9 "),
-    "label": (parse_yolo_labels, "0 "),
-    "ignore": (parse_ignore_regions, ""),
+    "detection": (parse_detection_rows, "0 0.9 "),
+    "label": (label_rows, "0 "),
+    "ignore": (region_rows, ""),
 }
 BOX_ERRORS = [
     ("1.5 0.5 0.2 0.2", "normalized component cx=1.5 outside [0, 1]"),
@@ -265,9 +260,9 @@ FIELD_ERRORS = [
 @pytest.mark.parametrize("kind, line, message", FIELD_ERRORS)
 def test_field_faults_name_file_and_line(kind, line, message):
     parse = {
-        "detection": lambda text: parse_detections(text, ImageDims(100, 100), 3, path="f.txt"),
-        "label": lambda text: parse_yolo_labels(text, ImageDims(100, 100), 3, path="f.txt"),
-        "ignore": lambda text: parse_ignore_regions(text, ImageDims(100, 100), path="f.txt"),
+        "detection": lambda text: parse_detection_rows(text, ImageDims(100, 100), 3, "f.txt"),
+        "label": lambda text: label_rows(text, ImageDims(100, 100), 3, "f.txt"),
+        "ignore": lambda text: region_rows(text, ImageDims(100, 100), "f.txt"),
     }[kind]
     with pytest.raises(ParseError) as info:
         parse(f"{LINE_PARSERS[kind][1]}{BOX}\n{line}\n")
@@ -277,15 +272,13 @@ def test_field_faults_name_file_and_line(kind, line, message):
 def test_signs_and_exponents_are_numbers():
     text = "+0 5e-01 +0.5 0.5 2e-1 0.2\n"
     assert parse_detection_rows(text, ImageDims(100, 100), 3) == [(0, 0.5, 40.0, 40.0, 60.0, 60.0)]
-    assert parse_yolo_labels("+1 0.5 5E-1 0.2 0.2\n", ImageDims(100, 100), 3)[0].class_id == 1
-    assert parse_visdrone_line("+684,8,273,116,0,+1,0,0", VRU_MAP).box == BoundingBox(
-        684, 8, 957, 124
-    )
+    assert label_rows("+1 0.5 5E-1 0.2 0.2\n", ImageDims(100, 100), 3)[0][0] == 1
+    assert visdrone_row("+684,8,273,116,0,+1,0,0") == (0, 684.0, 8.0, 957.0, 124.0)
 
 
 def test_nan_confidence_rejected():
     with pytest.raises(ParseError) as info:
-        parse_detections("0 nan 0.5 0.5 0.2 0.2\n", ImageDims(100, 100), path="f.txt")
+        parse_detection_rows("0 nan 0.5 0.5 0.2 0.2\n", ImageDims(100, 100), path="f.txt")
     assert str(info.value) == "f.txt:1: confidence nan outside [0, 1]"
 
 

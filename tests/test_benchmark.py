@@ -259,6 +259,15 @@ class TestRunFileIO:
         records, entries = load_run_file(path)
         assert entries == [ForgettingEntry("t1", "map50", 0.5, 0.4)]
 
+    def test_integer_forgetting_values_read_as_floats(self, tmp_path):
+        path = tmp_path / "runs.yaml"
+        path.write_text(
+            "runs:\n  - name: a\nforgetting: [{task: t1, metric: map50, before: 1, after: 0}]\n"
+        )
+        _, [entry] = load_run_file(path)
+        assert (entry.before, entry.after) == (1.0, 0.0)
+        assert type(entry.before) is type(entry.after) is float
+
     @pytest.mark.parametrize("before, after", [(".nan", "0.3"), ("0.5", ".inf")])
     def test_non_finite_forgetting_value_rejected(self, tmp_path, before, after):
         path = tmp_path / "runs.yaml"
@@ -295,6 +304,24 @@ class TestRunFileIO:
                 "forgetting: [{task: t, metric: map50, before: 5.0, after: -3}]\n",
                 r"forgetting.*\[0, 1\]",
                 id="forgetting-out-of-range",
+            ),
+            pytest.param(
+                "runs:\n  - name: a\n"
+                "forgetting: [{task: t, metric: map50, before: '0.5', after: 0.4}]\n",
+                "before='0.5' is not a number",
+                id="forgetting-before-str",
+            ),
+            pytest.param(
+                "runs:\n  - name: a\n"
+                "forgetting: [{task: t, metric: map50, before: 0.5, after: true}]\n",
+                "after=True is not a number",
+                id="forgetting-after-bool",
+            ),
+            pytest.param(
+                "runs:\n  - name: a\n"
+                "forgetting: [{task: t, metric: map50, before: 5e-1, after: 0.4}]\n",
+                "before='5e-1' is not a number",
+                id="forgetting-before-yaml-str",
             ),
         ],
     )

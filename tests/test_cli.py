@@ -9,7 +9,7 @@ import pytest
 
 from helpers import fixtures_root
 from test_annotations import BOX_ERRORS, LINE_PARSERS
-from vrueval.annotations import ClassMap, parse_detections, parse_ignore_regions, parse_yolo_labels
+from vrueval.annotations import ClassMap, parse_box_rows, parse_detection_rows
 from vrueval.cli import OUTPUT_FORMATS, main
 from vrueval.dataset import convert_dataset, load_manifest
 from vrueval.errors import ParseError
@@ -402,15 +402,15 @@ class TestEvalCommand:
         path, parse = {
             "detection": (
                 root / "detections" / f"{img.image_id}.txt",
-                lambda text, path: parse_detections(text, img.dims, 2, img.image_id, path),
+                lambda text, path: parse_detection_rows(text, img.dims, 2, path),
             ),
             "label": (
                 manifest.label_file(img),
-                lambda text, path: parse_yolo_labels(text, img.dims, 2, img.image_id, path),
+                lambda text, path: parse_box_rows(text, 1, img.dims, 2, path),
             ),
             "ignore": (
                 manifest.ignore_file(img),
-                lambda text, path: parse_ignore_regions(text, img.dims, img.image_id, path),
+                lambda text, path: parse_box_rows(text, 0, img.dims, None, path),
             ),
         }[kind]
         text = path.read_text() + line + "\n"
@@ -446,6 +446,8 @@ class TestEvalCommand:
                 "duplicate class names: ('pedestrian', 'pedestrian')",
             ),
             ('"image_id": "img2"', '"image_id": "img1"', "duplicate image ids in split 'val'"),
+            # 7 and "7" would pass the duplicate check and read one label file
+            ('"image_id": "img2"', '"image_id": 7', "image_id must be a string, got 7"),
         ],
     )
     def test_bad_manifest_value_names_the_manifest(

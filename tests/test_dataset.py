@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import fixtures_root
-from vrueval.annotations import ClassMap, parse_yolo_labels
+from vrueval.annotations import ClassMap, parse_box_rows
 from vrueval.dataset import (
     convert_dataset,
     dataset_stats,
@@ -84,8 +84,8 @@ class TestConvert:
         manifest, _ = convert_fixture(tmp_path)
         by_id = {img.image_id: img for img in manifest.images}
         img = by_id["0000001"]
-        recs = parse_yolo_labels(
-            manifest.label_file(img).read_text(), img.dims, len(manifest.class_names)
+        rows = parse_box_rows(
+            manifest.label_file(img).read_text(), 1, img.dims, len(manifest.class_names)
         )
         # source boxes: cat1 (684,8)+(100,100), cat2 (10,10)+(60,80), cat3 (400,100)+(30,60)
         expected = [
@@ -93,10 +93,9 @@ class TestConvert:
             (1, (10.0, 10.0, 70.0, 90.0)),
             (2, (400.0, 100.0, 430.0, 160.0)),
         ]
-        assert len(recs) == len(expected)
-        for rec, (cls, corners) in zip(recs, expected):
-            assert rec.class_id == cls
-            got = (rec.box.x_min, rec.box.y_min, rec.box.x_max, rec.box.y_max)
+        assert len(rows) == len(expected)
+        for (class_id, *got), (cls, corners) in zip(rows, expected):
+            assert class_id == cls
             for g, e in zip(got, corners):
                 assert abs(g - e) < 1e-4
 
@@ -266,6 +265,28 @@ class TestConvert:
             "(first: 0000001.ignore); left in place"
         ]
         assert (out / "labels" / "val" / "0000001.txt").is_file()
+
+    def test_orphan_sidecars_reported_not_converted(self, tmp_path):
+        labels = tmp_path / "src" / "labels"
+        labels.mkdir(parents=True)
+        (labels / "a.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        for image_id in ("c", "b"):
+            (labels / f"{image_id}.ignore").write_text("0.5 0.5 0.2 0.2\n")
+        (tmp_path / "src" / "dimensions.txt").write_text("a 100 100\nb 100 100\nc 100 100\n")
+        identity = ClassMap.identity(["pedestrian"])
+        warnings = []
+        manifest = convert_dataset(tmp_path / "src", identity, tmp_path / "out", warn=warnings.append)
+        assert warnings == [
+            f"2 ignore sidecars in {labels} have no label file (first: b.ignore); not converted"
+        ]
+        assert [img.image_id for img in manifest.images] == ["a"]
+        assert sorted(tree_bytes(tmp_path / "out" / "labels")) == ["train/a.txt"]
+        # held with the read phase's warnings: a convert that raises emits none
+        (labels / "a.txt").write_text("0 0.5 0.5 0.2\n")
+        warnings.clear()
+        with pytest.raises(ParseError, match="a.txt:1: expected 5 fields"):
+            convert_dataset(tmp_path / "src", identity, tmp_path / "again", warn=warnings.append)
+        assert warnings == []
 
     def test_reconvert_removes_stale_sidecar(self, tmp_path):
         out = tmp_path / "out"

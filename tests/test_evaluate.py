@@ -1,25 +1,15 @@
 import json
 import random
-import re
 import shutil
 import types
 
 import pytest
 
-from helpers import (
-    det,
-    fixtures_root,
-    grid_box,
-    gt,
-    random_box,
-    to_oracle_det,
-    to_oracle_gt,
-)
+from helpers import fixtures_root, grid_box, random_box, read_records
 from oracle import evaluation_report
-from vrueval.annotations import parse_detections
-from vrueval.dataset import load_ground_truth, load_manifest
-from vrueval.errors import ContractError, VruEvalError
-from vrueval.evaluate import evaluate, evaluate_records
+from vrueval.dataset import load_manifest
+from vrueval.errors import VruEvalError
+from vrueval.evaluate import evaluate
 
 MICRO = fixtures_root() / "micro"
 
@@ -68,27 +58,16 @@ def micro_manifest():
     return load_manifest(MICRO / "manifest.json")
 
 
-def load_micro_records(manifest):
-    gts, dets = [], []
-    for img in manifest.images:
-        gts.extend(load_ground_truth(manifest, img))
-        det_path = MICRO / "detections" / f"{img.image_id}.txt"
-        dets.extend(
-            parse_detections(det_path.read_text(), img.dims, 2, img.image_id)
-        )
-    return gts, dets
-
-
 class TestMicroFixture:
     def test_report_equals_frozen_values(self, micro_manifest):
         report = evaluate(micro_manifest, MICRO / "detections")
         assert report.to_dict() == MICRO_EXPECTED
 
     def test_report_equals_oracle(self, micro_manifest):
-        gts, dets = load_micro_records(micro_manifest)
+        gts, dets = read_records(micro_manifest, MICRO / "detections")
         expected = evaluation_report(
-            [to_oracle_gt(g) for g in gts],
-            [to_oracle_det(d) for d in dets],
+            gts,
+            dets,
             micro_manifest.class_names,
             len(micro_manifest.images),
             0.5,
@@ -102,12 +81,15 @@ class TestMicroFixture:
         b = json.dumps(evaluate(micro_manifest, MICRO / "detections").to_dict())
         assert a == b
 
-    def test_ignore_region_suppresses_detection(self, micro_manifest):
+    def test_ignore_region_suppresses_detection(self, micro_manifest, tmp_path):
         # without the ignore sidecar the suppressed detection becomes an FP
-        gts, dets = load_micro_records(micro_manifest)
-        gts_no_ignore = [g for g in gts if not g.ignore]
-        with_ignore = evaluate_records(gts, dets, micro_manifest.class_names, 3)
-        without = evaluate_records(gts_no_ignore, dets, micro_manifest.class_names, 3)
+        root = tmp_path / "micro"
+        shutil.copytree(MICRO, root)
+        for path in (root / "labels").rglob("*.ignore"):
+            path.unlink()
+        assert any((MICRO / "labels").rglob("*.ignore"))
+        with_ignore = evaluate(micro_manifest, MICRO / "detections")
+        without = evaluate(load_manifest(root / "manifest.json"), root / "detections")
         assert with_ignore.classes[0].precision > without.classes[0].precision
 
 
@@ -148,15 +130,6 @@ class TestErrors:
         (det_dir / "img1.txt").write_text("")
         with pytest.raises(VruEvalError, match="img2, img3"):
             evaluate(micro_manifest, det_dir)
-
-    def test_records_of_unknown_class_rejected(self):
-        gts = [gt(), gt(class_id=7)]
-        dets = [det(), det(class_id=7, confidence=0.95)]
-        fault = "ground truth in image 'img' has class id 7, outside the evaluated class ids [0]"
-        with pytest.raises(ContractError, match=re.escape(fault)):
-            evaluate_records(gts, dets, ("pedestrian",), 1)
-        with pytest.raises(ContractError, match="detection in image 'img' has class id 7"):
-            evaluate_records(gts[:1], dets, ("pedestrian",), 1)
 
     def test_no_scorable_classes(self, tmp_path):
         (tmp_path / "labels").mkdir()
@@ -225,63 +198,18 @@ def write_random_dataset(rng, root, box, width, height):
 
 
 @pytest.mark.parametrize("box, width, height", [(random_box, 100, 100), (grid_box, 6, 6)])
-def test_rows_path_equals_records_path_and_oracle(tmp_path, box, width, height):
+def test_rows_path_equals_oracle(tmp_path, box, width, height):
     rng = random.Random(2024)
     for n in range(60):
         root = tmp_path / str(n)
         manifest = write_random_dataset(rng, root, box, width, height)
-        gts, dets = [], []
-        for img in manifest.images:
-            gts.extend(load_ground_truth(manifest, img))
-            text = (root / "dets" / f"{img.image_id}.txt").read_text()
-            dets.extend(parse_detections(text, img.dims, 2, img.image_id))
+        gts, dets = read_records(manifest, root / "dets")
         conf_thresh = (0.0, 0.5, 0.75)[n % 3]
         report = evaluate(manifest, root / "dets", 0.5, conf_thresh)
-        n_images = len(manifest.images)
-        assert report == evaluate_records(
-            gts, dets, manifest.class_names, n_images, 0.5, conf_thresh
-        )
         assert report.to_dict() == evaluation_report(
-            [to_oracle_gt(g) for g in gts],
-            [to_oracle_det(d) for d in dets],
-            manifest.class_names,
-            n_images,
-            0.5,
-            conf_thresh,
+            gts, dets, manifest.class_names, len(manifest.images), 0.5, conf_thresh
         )
 
-
-
-@pytest.mark.parametrize("box", [random_box, grid_box])
-def test_records_interleaving_images_with_tied_confidences_equal_oracle(box):
-    # records of three images interleave, with two classes, ignore regions and
-    # confidences tied across images: every class is swept in one pass, and tied
-    # detections must rank in input order, not image by image
-    rng = random.Random(3141)
-    names = ("c0", "c1")
-    images = ("a", "b", "c")
-    for n in range(150):
-        gts = [
-            gt(rng.choice(images), rng.randrange(2), box(rng)) for _ in range(rng.randint(1, 10))
-        ]
-        gts += [
-            gt(rng.choice(images), -1, box(rng), ignore=True) for _ in range(rng.randint(0, 2))
-        ]
-        rng.shuffle(gts)
-        dets = [
-            det(rng.choice(images), rng.randrange(2), rng.choice((0.3, 0.6, 0.9)), box(rng))
-            for _ in range(rng.randint(0, 20))
-        ]
-        conf_thresh = (0.2, 0.6)[n % 2]
-        report = evaluate_records(gts, dets, names, len(images), 0.5, conf_thresh)
-        assert report.to_dict() == evaluation_report(
-            [to_oracle_gt(g) for g in gts],
-            [to_oracle_det(d) for d in dets],
-            names,
-            len(images),
-            0.5,
-            conf_thresh,
-        )
 
 def test_stray_detection_files_warned(micro_manifest, tmp_path):
     det_dir = tmp_path / "dets"

@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vrueval.errors import ConversionError
-from vrueval.geometry import (
-    BoundingBox,
-    ImageDims,
-    NormalizedBox,
-    denormalize,
-    from_normalized,
-    iou,
-    normalize,
-    to_normalized,
-)
+from vrueval.geometry import ImageDims, check_normalized, corner_iou, denormalize, normalize
 
 
 def box(*coords):
-    return BoundingBox(*map(float, coords))
+    return tuple(map(float, coords))
+
+
+def iou_of(a, b):
+    return corner_iou(*a, *b)
+
+
+def area(b):
+    x_min, y_min, x_max, y_max = b
+    return (x_max - x_min) * (y_max - y_min)
 
 
 # boxes on a coarse grid keep IoU comparisons exact enough for identity checks
@@ -28,84 +28,72 @@ grid = st.integers(min_value=0, max_value=200).map(lambda v: v / 2.0)
 def boxes(draw):
     x0, x1 = sorted((draw(grid), draw(grid)))
     y0, y1 = sorted((draw(grid), draw(grid)))
-    return BoundingBox(x0, y0, x1, y1)
+    return (x0, y0, x1, y1)
 
 
 class TestIou:
     def test_identical_boxes(self):
-        assert iou(box(0, 0, 10, 10), box(0, 0, 10, 10)) == 1.0
+        assert iou_of(box(0, 0, 10, 10), box(0, 0, 10, 10)) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 0.0
+        assert iou_of(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        assert iou(box(0, 0, 2, 2), box(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
+        assert iou_of(box(0, 0, 2, 2), box(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_two_zero_area_boxes(self):
-        assert iou(box(3, 3, 3, 3), box(3, 3, 3, 3)) == 0.0
+        assert iou_of(box(3, 3, 3, 3), box(3, 3, 3, 3)) == 0.0
 
     def test_zero_area_inside_positive(self):
-        assert iou(box(5, 5, 5, 5), box(0, 0, 10, 10)) == 0.0
+        assert iou_of(box(5, 5, 5, 5), box(0, 0, 10, 10)) == 0.0
 
     def test_touching_edges(self):
-        assert iou(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
+        assert iou_of(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
 
     @given(a=boxes(), b=boxes())
     def test_symmetric_and_bounded(self, a, b):
-        ab = iou(a, b)
-        assert ab == iou(b, a)
+        ab = iou_of(a, b)
+        assert ab == iou_of(b, a)
         assert 0.0 <= ab <= 1.0
 
     @given(a=boxes(), b=boxes())
     def test_one_iff_identical_positive_area(self, a, b):
-        assert (iou(a, b) == 1.0) == (a == b and a.area > 0)
+        assert (iou_of(a, b) == 1.0) == (a == b and area(a) > 0)
 
     def test_shrinking_inner_box_never_increases_iou(self):
         outer = box(0, 0, 100, 100)
         inner = box(10, 10, 90, 90)
         smaller = box(20, 20, 80, 80)
         smallest = box(40, 40, 60, 60)
-        values = [iou(outer, b) for b in (inner, smaller, smallest)]
+        values = [iou_of(outer, b) for b in (inner, smaller, smallest)]
         assert values == sorted(values, reverse=True)
         assert values[0] > values[1] > values[2]
-
-    def test_negative_extent_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(5, 0, 4, 10)
 
 
 class TestNormalization:
     def test_full_image_box(self):
-        n = to_normalized(box(0, 0, 100, 100), ImageDims(100, 100))
-        assert (n.cx, n.cy, n.w, n.h) == (0.5, 0.5, 1.0, 1.0)
+        assert normalize(*box(0, 0, 100, 100), ImageDims(100, 100)) == (0.5, 0.5, 1.0, 1.0)
 
     def test_centered_half_box(self):
-        n = to_normalized(box(25, 25, 75, 75), ImageDims(100, 100))
-        assert (n.cx, n.cy, n.w, n.h) == (0.5, 0.5, 0.5, 0.5)
+        assert normalize(*box(25, 25, 75, 75), ImageDims(100, 100)) == (0.5, 0.5, 0.5, 0.5)
 
     def test_rectangular_image(self):
-        n = to_normalized(box(0, 0, 30, 60), ImageDims(120, 240))
-        assert (n.cx, n.cy, n.w, n.h) == (0.125, 0.125, 0.25, 0.25)
+        n = normalize(*box(0, 0, 30, 60), ImageDims(120, 240))
+        assert n == (0.125, 0.125, 0.25, 0.25)
 
-    def test_from_normalized_full(self):
-        b = from_normalized(NormalizedBox(0.5, 0.5, 1.0, 1.0), ImageDims(100, 100))
-        assert b == box(0, 0, 100, 100)
+    def test_denormalize_full(self):
+        assert denormalize(0.5, 0.5, 1.0, 1.0, ImageDims(100, 100)) == box(0, 0, 100, 100)
 
-    def test_from_normalized_half(self):
-        b = from_normalized(NormalizedBox(0.5, 0.5, 0.5, 0.5), ImageDims(100, 100))
-        assert b == box(25, 25, 75, 75)
+    def test_denormalize_half(self):
+        assert denormalize(0.5, 0.5, 0.5, 0.5, ImageDims(100, 100)) == box(25, 25, 75, 75)
 
     def test_round_trip_specific(self):
         dims = ImageDims(640, 480)
         original = box(7.3, 2.1, 55.9, 88.8)
-        back = from_normalized(to_normalized(original, dims), dims)
-        for a, b in zip(
-            (original.x_min, original.y_min, original.x_max, original.y_max),
-            (back.x_min, back.y_min, back.x_max, back.y_max),
-        ):
+        back = denormalize(*normalize(*original, dims), dims)
+        for a, b in zip(original, back):
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6)
-        assert back == BoundingBox(*denormalize(*normalize(7.3, 2.1, 55.9, 88.8, dims), dims))
 
     def test_out_of_range_reports_component(self):
         dims = ImageDims(100, 100)
@@ -114,20 +102,17 @@ class TestNormalization:
             ((0, 0, 10, 200), "h=2"),
             ((10, 10, 510, 30), "cx=2.6"),
         ]:
-            with pytest.raises(ConversionError) as from_box:
-                to_normalized(box(*corners), dims)
-            with pytest.raises(ConversionError) as from_corners:
-                normalize(*map(float, corners), dims)
+            with pytest.raises(ConversionError) as info:
+                normalize(*box(*corners), dims)
             shown = ", ".join(str(float(c)) for c in corners)
-            assert str(from_box.value) == (
+            assert str(info.value) == (
                 f"normalized {component} outside [0, 1] for box ({shown}) in 100x100 image"
             )
-            assert str(from_corners.value) == str(from_box.value)
 
     def test_denormalized_may_exceed_image(self):
         # legal: a wide box centered near the left edge reaches past x=0
-        b = from_normalized(NormalizedBox(0.1, 0.5, 0.5, 0.2), ImageDims(100, 100))
-        assert b.x_min < 0
+        x_min, _, _, _ = denormalize(0.1, 0.5, 0.5, 0.2, ImageDims(100, 100))
+        assert x_min < 0
 
     @given(
         data=st.data(),
@@ -140,15 +125,10 @@ class TestNormalization:
         x1 = data.draw(st.floats(x0, width, allow_nan=False))
         y0 = data.draw(st.floats(0, height, allow_nan=False))
         y1 = data.draw(st.floats(y0, height, allow_nan=False))
-        original = BoundingBox(x0, y0, x1, y1)
-        back = from_normalized(to_normalized(original, dims), dims)
+        back = denormalize(*normalize(x0, y0, x1, y1, dims), dims)
         scale = max(width, height)
-        for a, b in zip(
-            (original.x_min, original.y_min, original.x_max, original.y_max),
-            (back.x_min, back.y_min, back.x_max, back.y_max),
-        ):
+        for a, b in zip((x0, y0, x1, y1), back):
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-9 * scale)
-        assert back == BoundingBox(*denormalize(*normalize(x0, y0, x1, y1, dims), dims))
 
 
 def test_image_dims_must_be_positive():
@@ -158,8 +138,8 @@ def test_image_dims_must_be_positive():
         ImageDims(10, -1)
 
 
-def test_normalized_box_range_check():
-    with pytest.raises(ValueError):
-        NormalizedBox(1.2, 0.5, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        NormalizedBox(0.5, 0.5, -0.1, 0.1)
+def test_normalized_range_check():
+    with pytest.raises(ValueError, match="cx=1.2"):
+        check_normalized(1.2, 0.5, 0.1, 0.1)
+    with pytest.raises(ValueError, match="w=-0.1"):
+        check_normalized(0.5, 0.5, -0.1, 0.1)

@@ -1,32 +1,24 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 import vrueval.matching
-from helpers import (
-    det,
-    grid_box,
-    gt,
-    random_box,
-    random_instance,
-    to_oracle_det,
-    to_oracle_gt,
-)
+from helpers import det, grid_box, gt, image_rows, random_box, random_instance
 from oracle import greedy_match_image, rank
 from vrueval.errors import ContractError
-from vrueval.geometry import BoundingBox, iou
+from vrueval.geometry import corner_iou
 from vrueval.matching import FP, IGNORED, TP
-from vrueval.metrics import pr_curve
+from vrueval.metrics import sweep_images
 
 
-def corners(box):
-    return (box.x_min, box.y_min, box.x_max, box.y_max)
+def curve(gts, dets, iou_thresh=0.5, num_classes=1, class_id=0):
+    """The ``PRCurve`` of one class, sweeping ``image_rows(gts, dets)``."""
+    return sweep_images(image_rows(gts, dets), num_classes, iou_thresh)[class_id]
 
 
 def fates(gts, ranked_dets, iou_thresh=0.5):
     """Fate of each class-0 detection, given in rank order: 'tp', 'fp' or 'ignored'."""
-    return list(pr_curve(gts, ranked_dets, 0, iou_thresh).fates)
+    return list(curve(gts, ranked_dets, iou_thresh).fates)
 
 
 @pytest.fixture
@@ -54,7 +46,7 @@ class TestProtocol:
         ground = gt(box=(0, 0, 10, 10))
         a = det(confidence=0.9, box=(0, 0, 10, 6))
         b = det(confidence=0.8, box=(0, 0, 10, 5.5))
-        assert pr_curve([ground], [b, a], 0, 0.5).fates == (TP, FP)  # the sweep ranks them
+        assert curve([ground], [b, a]).fates == (TP, FP)  # the sweep ranks them
         assert [value for _, value in iou_calls] == [pytest.approx(0.6)]
 
     def test_highest_iou_selected(self):
@@ -79,8 +71,8 @@ class TestProtocol:
         ground = gt(box=(0, 0, 10, 10))
         exact = det(confidence=0.8, box=(0, 0, 10, 10))   # IoU 1.0 GT, 1/3 region
         loose = det(confidence=0.8, box=(2, 0, 12, 10))   # IoU 2/3 GT, 7/13 region
-        assert pr_curve([region, ground], [exact, loose], 0, 0.5).fates == (TP, IGNORED)
-        assert pr_curve([region, ground], [loose, exact], 0, 0.5).fates == (TP, FP)
+        assert curve([region, ground], [exact, loose]).fates == (TP, IGNORED)
+        assert curve([region, ground], [loose, exact]).fates == (TP, FP)
 
     def test_duplicates_yield_single_tp(self):
         ground = gt(box=(0, 0, 10, 10))
@@ -121,15 +113,15 @@ class TestContracts:
         # ignore records are class-agnostic: a class-1 sweep honours them
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         gts = [region, gt(class_id=1, box=(50, 50, 60, 60))]
-        curve = pr_curve(gts, [det(class_id=1, box=(1, 1, 9, 9))], 1, 0.5)
-        assert curve.fates == (IGNORED,)
-        assert curve.n_positives == 1
+        swept = curve(gts, [det(class_id=1, box=(1, 1, 9, 9))], num_classes=2, class_id=1)
+        assert swept.fates == (IGNORED,)
+        assert swept.n_positives == 1
 
     def test_threshold_range(self):
         with pytest.raises(ContractError):
-            pr_curve([], [], 0, 0.0)
+            curve([], [], 0.0)
         with pytest.raises(ContractError):
-            pr_curve([], [], 0, 1.5)
+            curve([], [], 1.5)
 
 
 def test_iou_runs_only_for_overlapping_pairs(iou_calls):
@@ -146,10 +138,10 @@ def test_iou_runs_only_for_overlapping_pairs(iou_calls):
     ]
     dets = [det(confidence=0.9 - i * 0.1, box=b) for i, b in enumerate(boxes)]
     # five false positives, a true positive, and a suppressed detection
-    assert pr_curve([ground, region], dets, 0, 0.5).fates == (FP,) * 5 + (TP, IGNORED)
+    assert curve([ground, region], dets).fates == (FP,) * 5 + (TP, IGNORED)
     assert iou_calls == [
-        (corners(dets[5].box) + corners(ground.box), pytest.approx(0.9)),
-        (corners(dets[6].box) + corners(region.box), pytest.approx(0.64)),
+        (dets[5]["box"] + ground["box"], pytest.approx(0.9)),
+        (dets[6]["box"] + region["box"], pytest.approx(0.64)),
     ]
 
 
@@ -158,51 +150,50 @@ def test_matches_oracle_on_random_instances():
         rng = random.Random(1412)
         for _ in range(300):
             gts, dets = random_instance(rng, n_images=1, with_ignores=True, box=box)
-            odets = [to_oracle_det(d) for d in dets]
-            order = rank(odets)
-            for d in odets:
-                d["_thresh"] = 0.5
-            expected = greedy_match_image(
-                [to_oracle_gt(g) for g in gts], [odets[i] for i in order]
-            )
+            order = rank(dets)
+            expected = greedy_match_image(gts, [dict(dets[i], _thresh=0.5) for i in order])
             assert fates(gts, [dets[i] for i in order]) == expected
 
 
-def test_tied_confidences_across_images_keep_input_order():
-    # the images interleave in the input and confidences tie across them: the
-    # merged ranking must put tied detections in input order, not image by image
+def test_tied_confidences_across_images_rank_in_feed_order():
+    # confidences tie across three images whose detections come image by image,
+    # as a detection directory gives them: tied detections rank in feed order,
+    # which is the oracle's input order
     rng = random.Random(2718)
     for box in (random_box, grid_box):
         for _ in range(300):
             gts, dets = random_instance(rng, n_images=3, with_ignores=True, box=box)
-            dets = [replace(d, confidence=rng.choice((0.3, 0.6, 0.9))) for d in dets]
-            ogts = [to_oracle_gt(g) for g in gts]
-            odets = [dict(to_oracle_det(d), _thresh=0.5) for d in dets]
+            dets = [dict(d, confidence=rng.choice((0.3, 0.6, 0.9))) for d in dets]
+            feed = list(dict.fromkeys(r["image_id"] for r in gts + dets))  # image_rows' order
+            dets.sort(key=lambda d: feed.index(d["image_id"]))  # stable: grouped by image
+            odets = [dict(d, _thresh=0.5) for d in dets]
             order = rank(odets)
             expected = {}
-            for image in {d["image_id"] for d in odets}:
+            for image in feed:
                 ranked = [i for i in order if odets[i]["image_id"] == image]
-                image_gts = [g for g in ogts if g["image_id"] == image]
+                image_gts = [g for g in gts if g["image_id"] == image]
                 expected.update(
                     zip(ranked, greedy_match_image(image_gts, [odets[i] for i in ranked]))
                 )
-            curve = pr_curve(gts, dets, 0, 0.5)
-            assert list(curve.fates) == [expected[i] for i in order]
-            assert list(curve.confidences) == [odets[i]["confidence"] for i in order]
+            swept = curve(gts, dets)
+            assert list(swept.fates) == [expected[i] for i in order]
+            assert list(swept.confidences) == [odets[i]["confidence"] for i in order]
 
 
-def reference_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """IoU in the operation order the matcher has always used."""
-    ix_min = max(a.x_min, b.x_min)
-    iy_min = max(a.y_min, b.y_min)
-    ix_max = min(a.x_max, b.x_max)
-    iy_max = min(a.y_max, b.y_max)
+def reference_iou(a: tuple, b: tuple) -> float:
+    """IoU of two corner boxes in the operation order the matcher has always used."""
+    ax_min, ay_min, ax_max, ay_max = a
+    bx_min, by_min, bx_max, by_max = b
+    ix_min = max(ax_min, bx_min)
+    iy_min = max(ay_min, by_min)
+    ix_max = min(ax_max, bx_max)
+    iy_max = min(ay_max, by_max)
     iw = ix_max - ix_min
     ih = iy_max - iy_min
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ax_max - ax_min) * (ay_max - ay_min) + (bx_max - bx_min) * (by_max - by_min) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -221,12 +212,11 @@ def test_sweep_iou_equals_geometry_iou(iou_calls):
         rng = random.Random(77)
         for _ in range(300):
             gts, dets = random_instance(rng, n_images=2, with_ignores=True, box=box)
-            pr_curve(gts, dets, 0, 0.5)
+            curve(gts, dets)
             for args, value in iou_calls:
-                a, b = BoundingBox(*args[:4]), BoundingBox(*args[4:])
-                assert value == iou(a, b) == reference_iou(a, b)
+                assert value == reference_iou(args[:4], args[4:])
             seen += len(iou_calls)
             iou_calls.clear()
-            a, b = BoundingBox(*map(float, box(rng))), BoundingBox(*map(float, box(rng)))
-            assert iou(a, b) == reference_iou(a, b)
+            a, b = tuple(map(float, box(rng))), tuple(map(float, box(rng)))
+            assert corner_iou(*a, *b) == reference_iou(a, b)
     assert seen > 1000

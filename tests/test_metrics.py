@@ -2,20 +2,19 @@ import random
 
 import pytest
 
-from helpers import det, gt, random_instance, to_oracle_det, to_oracle_gt
+from helpers import det, gt, image_rows, random_instance
 from oracle import ap_from_points, class_ap, class_confusion, class_pr_points
-from vrueval.errors import ContractError, VruEvalError
+from vrueval.errors import VruEvalError
 from vrueval.matching import FP, IGNORED, TP
 from vrueval.metrics import (
     ConfusionCounts,
     PRCurve,
     average_precision,
-    confusion_at_threshold,
     f1,
     mean_ap,
-    pr_curve,
     precision,
     recall,
+    sweep_images,
 )
 
 
@@ -55,25 +54,27 @@ class TestConfusionAtThreshold:
             det(confidence=0.9, box=(0, 0, 10, 10)),
             det(confidence=0.15, box=(20, 20, 30, 30)),
         ]
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-        assert counts[0] == ConfusionCounts(1, 0, 1)
+        counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
+        assert counts == ConfusionCounts(1, 0, 1)
 
     def test_no_detections(self):
-        counts = confusion_at_threshold([gt(), gt(box=(20, 20, 30, 30)), gt(box=(40, 40, 50, 50))], [], 1, 0.5, 0.2)
-        assert counts[0] == ConfusionCounts(0, 0, 3)
+        gts = [gt(), gt(box=(20, 20, 30, 30)), gt(box=(40, 40, 50, 50))]
+        counts = sweep_images(image_rows(gts, []), 1, 0.5)[0].counts_at(0.2)
+        assert counts == ConfusionCounts(0, 0, 3)
 
     def test_no_ground_truth(self):
-        counts = confusion_at_threshold([], [det(), det(box=(20, 20, 30, 30))], 1, 0.5, 0.2)
-        assert counts[0] == ConfusionCounts(0, 2, 0)
+        dets = [det(), det(box=(20, 20, 30, 30))]
+        counts = sweep_images(image_rows([], dets), 1, 0.5)[0].counts_at(0.2)
+        assert counts == ConfusionCounts(0, 2, 0)
 
     def test_exact_threshold_kept(self):
-        counts = confusion_at_threshold([gt()], [det(confidence=0.2)], 1, 0.5, 0.2)
-        assert counts[0].tp == 1
+        curve = sweep_images(image_rows([gt()], [det(confidence=0.2)]), 1, 0.5)[0]
+        assert curve.counts_at(0.2).tp == 1
 
     def test_per_class_separation(self):
         gts = [gt(class_id=0), gt(class_id=1, box=(20, 20, 30, 30))]
         dets = [det(class_id=0), det(class_id=1, box=(100, 100, 110, 110))]
-        counts = confusion_at_threshold(gts, dets, 2, 0.5, 0.2)
+        counts = [c.counts_at(0.2) for c in sweep_images(image_rows(gts, dets), 2, 0.5)]
         assert counts[0] == ConfusionCounts(1, 0, 0)
         assert counts[1] == ConfusionCounts(0, 1, 1)
 
@@ -81,28 +82,9 @@ class TestConfusionAtThreshold:
         rng = random.Random(7)
         for _ in range(50):
             gts, dets = random_instance(rng, with_ignores=True)
-            scorable = sum(1 for g in gts if not g.ignore)
-            counts = confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-            assert counts[0].tp + counts[0].fn == scorable
-
-    @pytest.mark.parametrize(
-        "gts, dets, fault",
-        [
-            ([gt(), gt("b", class_id=7)], [det()], "ground truth in image 'b' has class id 7"),
-            ([gt()], [det(), det("c", class_id=7)], "detection in image 'c' has class id 7"),
-            ([gt("d", class_id=-1)], [], "ground truth in image 'd' has class id -1"),
-        ],
-    )
-    def test_class_outside_range_rejected(self, gts, dets, fault):
-        message = f"^{fault}, outside the evaluated class ids \\[0\\]$"
-        with pytest.raises(ContractError, match=message):
-            confusion_at_threshold(gts, dets, 1, 0.5, 0.2)
-
-    def test_ignore_records_of_any_class_accepted(self):
-        regions = [gt(class_id=c, box=(0, 0, 10, 10), ignore=True) for c in (-1, 0, 7)]
-        dets = [det(confidence=0.9, box=(1, 1, 9, 9)), det(confidence=0.8, box=(50, 50, 60, 60))]
-        counts = confusion_at_threshold([*regions, gt(box=(50, 50, 60, 60))], dets, 1, 0.5, 0.2)
-        assert counts[0] == ConfusionCounts(1, 0, 0)
+            scorable = sum(1 for g in gts if not g["ignore"])
+            counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
+            assert counts.tp + counts.fn == scorable
 
 
 def cumulative(fates):
@@ -125,12 +107,12 @@ class TestPRCurve:
             det(confidence=0.8, box=(50, 50, 60, 60)),
             det(confidence=0.7, box=(100, 100, 110, 110)),
         ]
-        curve = pr_curve(gts, dets, 0, 0.5)
+        curve = sweep_images(image_rows(gts, dets), 1, 0.5)[0]
         assert curve.n_positives == 2
         assert curve.fates == (TP, FP, TP)
 
     def test_zero_detections(self):
-        curve = pr_curve([gt()], [], 0, 0.5)
+        curve = sweep_images(image_rows([gt()], []), 1, 0.5)[0]
         assert curve.fates == ()
         assert curve.n_positives == 1
 
@@ -139,21 +121,21 @@ class TestPRCurve:
         dets = [
             det(confidence=0.9 - 0.1 * i, box=(i * 20, 0, i * 20 + 10, 10)) for i in range(3)
         ]
-        curve = pr_curve(gts, dets, 0, 0.5)
+        curve = sweep_images(image_rows(gts, dets), 1, 0.5)[0]
         assert curve.fates == (TP,) * 3
 
     def test_recall_non_decreasing(self):
         rng = random.Random(99)
         for _ in range(100):
             gts, dets = random_instance(rng)
-            curve = pr_curve(gts, dets, 0, 0.5)
+            curve = sweep_images(image_rows(gts, dets), 1, 0.5)[0]
             recalls = [tp / (curve.n_positives or 1) for tp, _ in cumulative(curve.fates)]
             assert recalls == sorted(recalls)
 
     def test_confidences_follow_fates(self):
         gts = [gt(box=(0, 0, 10, 10))]
         dets = [det(confidence=0.3, box=(50, 50, 60, 60)), det(confidence=0.7)]
-        curve = pr_curve(gts, dets, 0, 0.5)
+        curve = sweep_images(image_rows(gts, dets), 1, 0.5)[0]
         assert curve.confidences == (0.7, 0.3)
         assert curve.fates == (TP, FP)
 
@@ -164,21 +146,20 @@ class TestPRCurve:
             gt("b", class_id=1),
             gt("c", class_id=-1, ignore=True),
         ]
-        assert pr_curve(gts, [det("d")], 0, 0.5).n_images == 1
-        assert pr_curve(gts, [], 1, 0.5).n_images == 1
-        assert pr_curve(gts, [], 2, 0.5).n_images == 0
+        assert sweep_images(image_rows(gts, [det("d")]), 3, 0.5)[0].n_images == 1
+        assert [c.n_images for c in sweep_images(image_rows(gts, []), 3, 0.5)] == [1, 1, 0]
 
     def test_other_classes_left_out(self):
         gts = [gt(box=(0, 0, 10, 10)), gt(class_id=7, box=(50, 50, 60, 60))]
         dets = [det(class_id=7, confidence=0.95, box=(50, 50, 60, 60)), det(confidence=0.5)]
-        curve = pr_curve(gts, dets, 0, 0.5)
-        assert curve == pr_curve(gts[:1], dets[1:], 0, 0.5)
+        curve = sweep_images(image_rows(gts, dets), 8, 0.5)[0]
+        assert curve == sweep_images(image_rows(gts[:1], dets[1:]), 8, 0.5)[0]
         assert (curve.fates, curve.n_positives) == ((TP,), 1)
 
     def test_suppressed_detections_are_ignored(self):
         region = gt(class_id=-1, box=(0, 0, 10, 10), ignore=True)
         dets = [det(confidence=0.9, box=(1, 1, 9, 9)), det(confidence=0.8, box=(50, 50, 60, 60))]
-        curve = pr_curve([region, gt(box=(50, 50, 60, 60))], dets, 0, 0.5)
+        curve = sweep_images(image_rows([region, gt(box=(50, 50, 60, 60))], dets), 1, 0.5)[0]
         assert curve.fates == (IGNORED, TP)
         assert cumulative(curve.fates) == [(1, 0)]  # only the scored detection
         assert curve.counts_at(0.0) == ConfusionCounts(1, 0, 0)
@@ -192,32 +173,30 @@ class TestAveragePrecision:
             det(confidence=0.8, box=(50, 50, 60, 60)),
             det(confidence=0.7, box=(100, 100, 110, 110)),
         ]
-        ap = average_precision(pr_curve(gts, dets, 0, 0.5))
+        ap = average_precision(sweep_images(image_rows(gts, dets), 1, 0.5)[0])
         # 0.5 * 1.0 + 0.5 * (2/3), hand-integrated envelope
         assert ap == pytest.approx(0.5 + 0.5 * 2 / 3, abs=1e-12)
 
     def test_single_covering_tp(self):
-        assert average_precision(pr_curve([gt()], [det()], 0, 0.5)) == 1.0
+        assert average_precision(sweep_images(image_rows([gt()], [det()]), 1, 0.5)[0]) == 1.0
 
     def test_all_false_positives(self):
         dets = [det(confidence=0.9, box=(50, 50, 60, 60))]
-        assert average_precision(pr_curve([gt()], dets, 0, 0.5)) == 0.0
+        assert average_precision(sweep_images(image_rows([gt()], dets), 1, 0.5)[0]) == 0.0
 
     def test_empty_curve(self):
-        assert average_precision(pr_curve([gt()], [], 0, 0.5)) == 0.0
+        assert average_precision(sweep_images(image_rows([gt()], []), 1, 0.5)[0]) == 0.0
 
     def test_no_positives_undefined(self):
-        assert average_precision(pr_curve([], [det()], 0, 0.5)) is None
+        assert average_precision(sweep_images(image_rows([], [det()]), 1, 0.5)[0]) is None
         assert average_precision(PRCurve(0, (), 0, (), 0)) is None
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(4242)
         for _ in range(200):
             gts, dets = random_instance(rng, with_ignores=True)
-            got = average_precision(pr_curve(gts, dets, 0, 0.5))
-            expected = class_ap(
-                [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5
-            )
+            got = average_precision(sweep_images(image_rows(gts, dets), 1, 0.5)[0])
+            expected = class_ap(gts, dets, 0, 0.5)
             if expected is None:
                 assert got is None
             else:
@@ -227,10 +206,8 @@ class TestAveragePrecision:
         rng = random.Random(31)
         for _ in range(50):
             gts, dets = random_instance(rng, with_ignores=True)
-            curve = pr_curve(gts, dets, 0, 0.5)
-            points, n_pos = class_pr_points(
-                [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5
-            )
+            curve = sweep_images(image_rows(gts, dets), 1, 0.5)[0]
+            points, n_pos = class_pr_points(gts, dets, 0, 0.5)
             assert curve.n_positives == n_pos
             assert points == [
                 (tp / n_pos if n_pos else 0.0, tp / (tp + fp))
@@ -272,9 +249,7 @@ def test_confusion_matches_oracle(cut):
         gts, dets = random_instance(rng, with_ignores=True)
         conf_thresh = cut
         if cut is None:
-            conf_thresh = rng.choice(dets).confidence if dets else 0.5
-        counts = confusion_at_threshold(gts, dets, 1, 0.5, conf_thresh)
-        expected = class_confusion(
-            [to_oracle_gt(g) for g in gts], [to_oracle_det(d) for d in dets], 0, 0.5, conf_thresh
-        )
-        assert (counts[0].tp, counts[0].fp, counts[0].fn) == expected
+            conf_thresh = rng.choice(dets)["confidence"] if dets else 0.5
+        counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(conf_thresh)
+        expected = class_confusion(gts, dets, 0, 0.5, conf_thresh)
+        assert (counts.tp, counts.fp, counts.fn) == expected

@@ -10,9 +10,9 @@ import math
 from hypothesis import given, strategies as st
 
 from helpers import det, gt
-from vrueval.annotations import ClassMap, parse_visdrone_line, parse_yolo_labels
+from vrueval.annotations import IGNORE_CLASS_ID, ClassMap, parse_box_rows, parse_visdrone_file
 from vrueval.dataset import convert_dataset
-from vrueval.geometry import BoundingBox, ImageDims, from_normalized, to_normalized
+from vrueval.geometry import ImageDims, denormalize, normalize
 from vrueval.metrics import ConfusionCounts, f1, precision, recall
 
 counts = st.integers(min_value=0, max_value=50)
@@ -60,15 +60,12 @@ def test_label_storage_round_trip_bound(seed, width, height):
     dims = ImageDims(width, height)
     x0 = rng.uniform(0, width * 0.8)
     y0 = rng.uniform(0, height * 0.8)
-    box = BoundingBox(x0, y0, x0 + rng.uniform(0, width - x0), y0 + rng.uniform(0, height - y0))
-    norm = to_normalized(box, dims)
-    stored = [float(f"{v:.6f}") for v in (norm.cx, norm.cy, norm.w, norm.h)]
-    back = from_normalized(type(norm)(*stored), dims)
+    box = (x0, y0, x0 + rng.uniform(0, width - x0), y0 + rng.uniform(0, height - y0))
+    norm = normalize(*box, dims)
+    stored = [float(f"{v:.6f}") for v in norm]
+    back = denormalize(*stored, dims)
     tol = 0.75e-6 * max(width, height) + 1e-9
-    for a, b in zip(
-        (box.x_min, box.y_min, box.x_max, box.y_max),
-        (back.x_min, back.y_min, back.x_max, back.y_max),
-    ):
+    for a, b in zip(box, back):
         assert abs(a - b) <= tol
 
 
@@ -86,23 +83,23 @@ def test_label_files_never_contain_out_of_range_class(tmp_path):
     (src / "dimensions.txt").write_text("a 400 250\n")
     manifest = convert_dataset(src, vru, tmp_path / "out", split="val")
     img = manifest.images[0]
-    recs = parse_yolo_labels(
-        manifest.label_file(img).read_text(), img.dims, num_classes=vru.num_classes
+    rows = parse_box_rows(
+        manifest.label_file(img).read_text(), 1, img.dims, num_classes=vru.num_classes
     )
-    assert {r.class_id for r in recs} == {0, 1, 2, 3}
+    assert {class_id for class_id, *_ in rows} == {0, 1, 2, 3}
 
 
 @given(cat=st.integers(0, 11), left=st.integers(0, 100), top=st.integers(0, 100))
 def test_visdrone_remap_partitions_categories(cat, left, top):
     vru = ClassMap.visdrone_default()
     line = f"{left},{top},10,10,0,{cat},0,0"
-    rec = parse_visdrone_line(line, vru)
+    rows = parse_visdrone_file(line, vru)
     if cat in vru.drop:
-        assert rec is None
+        assert rows == []
     elif cat in vru.ignore:
-        assert rec.ignore
+        assert rows[0][0] == IGNORE_CLASS_ID
     else:
-        assert 0 <= rec.class_id < vru.num_classes
+        assert 0 <= rows[0][0] < vru.num_classes
 
 
 def test_harmonic_mean_concrete():
@@ -112,5 +109,5 @@ def test_harmonic_mean_concrete():
 
 
 def test_records_helpers_shapes():
-    assert gt().image_id == "img"
-    assert det().confidence == 0.9
+    assert gt()["image_id"] == "img"
+    assert det()["confidence"] == 0.9
