@@ -1,15 +1,17 @@
 import json
 import random
+import re
 import shutil
 import types
 
 import pytest
 
-from helpers import fixtures_root, grid_box, random_box, read_records
-from oracle import evaluation_report
+from helpers import det, fixtures_root, grid_box, gt, image_rows, random_box, read_records
+from oracle import class_ap, class_confusion, evaluation_report
 from vrueval.dataset import load_manifest
-from vrueval.errors import VruEvalError
+from vrueval.errors import ParseError, VruEvalError
 from vrueval.evaluate import evaluate
+from vrueval.metrics import average_precision, sweep_images
 
 MICRO = fixtures_root() / "micro"
 
@@ -131,6 +133,28 @@ class TestErrors:
         with pytest.raises(VruEvalError, match="img2, img3"):
             evaluate(micro_manifest, det_dir)
 
+    def test_records_of_unknown_class_rejected(self, tmp_path):
+        # class ids are checked as the files are read: a label or a detection of
+        # class 7 against one class is a parse error naming its file and line
+        (tmp_path / "labels").mkdir()
+        label = tmp_path / "labels" / "a.txt"
+        (tmp_path / "manifest.json").write_text(
+            '{"split": "t", "class_names": ["pedestrian"], "images": ['
+            '{"image_id": "a", "width": 100, "height": 100, "label_path": "labels/a.txt"}]}'
+        )
+        (tmp_path / "dets").mkdir()
+        detections = tmp_path / "dets" / "a.txt"
+        fault = "class id 7 out of range for 1 configured classes"
+        label.write_text("0 0.5 0.5 0.2 0.2\n7 0.5 0.5 0.2 0.2\n")
+        detections.write_text("0 0.9 0.5 0.5 0.2 0.2\n")
+        manifest = load_manifest(tmp_path / "manifest.json")
+        with pytest.raises(ParseError, match=re.escape(f"{label}:2: {fault}")):
+            evaluate(manifest, tmp_path / "dets")
+        label.write_text("0 0.5 0.5 0.2 0.2\n")
+        detections.write_text("0 0.9 0.5 0.5 0.2 0.2\n7 0.95 0.5 0.5 0.2 0.2\n")
+        with pytest.raises(ParseError, match=re.escape(f"{detections}:2: {fault}")):
+            evaluate(manifest, tmp_path / "dets")
+
     def test_no_scorable_classes(self, tmp_path):
         (tmp_path / "labels").mkdir()
         (tmp_path / "labels" / "a.txt").write_text("")
@@ -209,6 +233,36 @@ def test_rows_path_equals_oracle(tmp_path, box, width, height):
         assert report.to_dict() == evaluation_report(
             gts, dets, manifest.class_names, len(manifest.images), 0.5, conf_thresh
         )
+
+
+@pytest.mark.parametrize("box", [random_box, grid_box])
+def test_records_interleaving_images_with_tied_confidences_equal_oracle(box):
+    # records of three images interleave, with two classes, ignore regions and
+    # confidences tied across images; the sweep takes them image by image, as
+    # detection files give them, and every class's AP and confusion counts must
+    # equal the oracle's on the records in that feed order
+    rng = random.Random(3141)
+    images = ("a", "b", "c")
+    for n in range(150):
+        gts = [
+            gt(rng.choice(images), rng.randrange(2), box(rng)) for _ in range(rng.randint(1, 10))
+        ]
+        gts += [
+            gt(rng.choice(images), -1, box(rng), ignore=True) for _ in range(rng.randint(0, 2))
+        ]
+        rng.shuffle(gts)
+        dets = [
+            det(rng.choice(images), rng.randrange(2), rng.choice((0.3, 0.6, 0.9)), box(rng))
+            for _ in range(rng.randint(0, 20))
+        ]
+        feed = list(dict.fromkeys(r["image_id"] for r in gts + dets))  # image_rows' order
+        dets.sort(key=lambda d: feed.index(d["image_id"]))  # stable: grouped by image
+        conf_thresh = (0.2, 0.6)[n % 2]
+        for curve in sweep_images(image_rows(gts, dets), 2, 0.5):
+            assert average_precision(curve) == class_ap(gts, dets, curve.class_id, 0.5)
+            counts = curve.counts_at(conf_thresh)
+            expected = class_confusion(gts, dets, curve.class_id, 0.5, conf_thresh)
+            assert (counts.tp, counts.fp, counts.fn) == expected
 
 
 def test_stray_detection_files_warned(micro_manifest, tmp_path):

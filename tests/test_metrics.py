@@ -86,6 +86,22 @@ class TestConfusionAtThreshold:
             counts = sweep_images(image_rows(gts, dets), 1, 0.5)[0].counts_at(0.2)
             assert counts.tp + counts.fn == scorable
 
+    def test_ignore_records_of_any_class_accepted(self):
+        # an ignore record's class id is never read: its region, a row under
+        # IGNORE_CLASS_ID, suppresses the detections of every class
+        regions = [gt(class_id=c, box=(0, 0, 10, 10), ignore=True) for c in (-1, 0, 7)]
+        dets = [
+            det(confidence=0.9, box=(1, 1, 9, 9)),
+            det(class_id=1, confidence=0.85, box=(1, 1, 9, 9)),
+            det(confidence=0.8, box=(50, 50, 60, 60)),
+        ]
+        curves = sweep_images(image_rows([*regions, gt(box=(50, 50, 60, 60))], dets), 2, 0.5)
+        assert [c.fates for c in curves] == [(IGNORED, TP), (IGNORED,)]
+        assert [c.counts_at(0.2) for c in curves] == [
+            ConfusionCounts(1, 0, 0),
+            ConfusionCounts(0, 0, 0),
+        ]
+
 
 def cumulative(fates):
     """(TP, FP) after each fate that is not IGNORED."""
