@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Mapping
-
-import yaml
 
 from .errors import ParseError, SchemaError, read_input
 from .geometry import ImageDims, check_normalized, denormalize
@@ -60,22 +58,28 @@ _VISDRONE_NAMES = {
 _DECIMAL = re.compile(r"[-+]?(0|[1-9][0-9]*)")
 
 
-class _ClassMapLoader(yaml.SafeLoader):
-    """YAML 1.1 that reads only plain decimal integers as ints.
-
-    YAML 1.1 also reads ``0x4``, ``0o7``, ``010`` (octal), ``1_0`` and ``1:30``
-    (base 60) as ints; this loader keeps them as the strings they are.
-    """
-
-
-_ClassMapLoader.add_constructor(
-    "tag:yaml.org,2002:int",
-    lambda loader, node: _decimal_or_text(loader.construct_scalar(node)),
-)
-
-
 def _decimal_or_text(text: str) -> int | str:
     return int(text) if _DECIMAL.fullmatch(text) else text
+
+
+@cache
+def _class_map_loader():
+    """A YAML 1.1 loader that reads only plain decimal integers as ints.
+
+    YAML 1.1 also reads ``0x4``, ``0o7``, ``010`` (octal), ``1_0`` and ``1:30``
+    (base 60) as ints; this loader keeps them as the strings they are. It is
+    built on first use, so only a class-map read imports PyYAML.
+    """
+    import yaml
+
+    class _ClassMapLoader(yaml.SafeLoader):
+        pass
+
+    _ClassMapLoader.add_constructor(
+        "tag:yaml.org,2002:int",
+        lambda loader, node: _decimal_or_text(loader.construct_scalar(node)),
+    )
+    return _ClassMapLoader
 
 
 def _class_id(value) -> int:
@@ -160,8 +164,10 @@ class ClassMap:
         Expected keys: ``names`` (ordered list), ``map`` (source -> target),
         and optional ``drop`` / ``ignore`` source-id lists.
         """
+        import yaml
+
         try:
-            doc = yaml.load(read_input(path), Loader=_ClassMapLoader)
+            doc = yaml.load(read_input(path), Loader=_class_map_loader())
         except yaml.YAMLError as exc:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:

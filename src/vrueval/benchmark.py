@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from .errors import SchemaError, VruEvalError, read_input
 from .evaluate import EvalReport
 from .metrics import f1 as f1_score
@@ -458,6 +456,8 @@ def _entry_number(entry: dict, key: str) -> float:
 
 def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[ForgettingEntry]]:
     """Read run records (and optional forgetting entries) from a YAML file."""
+    import yaml
+
     path = Path(path)
     try:
         doc = yaml.safe_load(read_input(path))
@@ -501,6 +501,8 @@ def save_run_file(
     forgetting_entries: list[ForgettingEntry] | None = None,
 ) -> None:
     """Write records back to YAML, preserving unknown fields."""
+    import yaml
+
     doc: dict = {"runs": [rec.to_dict() for rec in records]}
     if forgetting_entries:
         doc["forgetting"] = [

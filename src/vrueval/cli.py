@@ -16,14 +16,6 @@ from pathlib import Path
 import click
 
 from .annotations import ClassMap
-from .benchmark import (
-    DEFAULT_EPSILON,
-    DEFAULT_FRAMES,
-    compare_models,
-    consistency_notes,
-    continual_scenario,
-    load_run_file,
-)
 from .dataset import convert_dataset, dataset_stats, load_manifest
 from .errors import VruEvalError
 from .evaluate import DEFAULT_CONF_THRESH, DEFAULT_IOU_THRESH, evaluate
@@ -165,12 +157,14 @@ def eval_cmd(ctx, manifest, detections, iou_thresh, conf_thresh, out_path):
     "--sort-by", type=click.Choice(["precision", "recall", "f1", "map50"]),
     default="map50", show_default=True, help="Ranking metric (comparison mode).",
 )
+# --frames and --epsilon spell benchmark.DEFAULT_FRAMES and DEFAULT_EPSILON, so
+# that only a compare run imports vrueval.benchmark; a test ties them together
 @click.option(
-    "--frames", type=float, default=DEFAULT_FRAMES, show_default=True,
+    "--frames", type=float, default=30.0, show_default=True,
     help="Frame budget for the computational-time column (seconds = frames/FPS).",
 )
 @click.option(
-    "--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True,
+    "--epsilon", type=float, default=0.02, show_default=True,
     help="Forgetting-flag tolerance: flag a sequential run whose precision, "
     "recall, and mAP all sit within epsilon of the scratch run.",
 )
@@ -182,6 +176,8 @@ def compare(ctx, run_files, baseline, scenario, sort_by, frames, epsilon):
     percentages of the baseline value, 100*(new-base)/base. Stated-F1-vs-
     formula discrepancies are reported on stderr, never silently reconciled.
     """
+    from .benchmark import compare_models, consistency_notes, continual_scenario, load_run_file
+
     if not (math.isfinite(frames) and frames > 0):
         raise click.UsageError(f"--frames must be finite and positive, got {frames}")
     if not (math.isfinite(epsilon) and epsilon >= 0):

@@ -26,8 +26,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .annotations import (
     IGNORE_CLASS_ID,
     ClassMap,
@@ -83,9 +81,13 @@ class DatasetManifest:
     def __post_init__(self):
         if len(self.class_names) != len(set(self.class_names)):
             raise SchemaError(f"duplicate class names: {self.class_names}")
-        ids = [img.image_id for img in self.images]
-        if len(ids) != len(set(ids)):
-            raise SchemaError(f"duplicate image ids in split {self.split!r}")
+        seen = set()
+        for image in self.images:
+            if image.image_id in seen:
+                raise SchemaError(
+                    f"duplicate image ids in split {self.split!r}: {image.image_id!r} repeats"
+                )
+            seen.add(image.image_id)
 
     def label_file(self, image: ManifestImage) -> Path:
         return self.root / image.label_path
@@ -230,7 +232,14 @@ def _list_image_ids(src: Path, source_format: str, split: str) -> tuple[list[str
         images_dir = src / "images"
         if not images_dir.is_dir():
             raise ConversionError(f"{src}: missing images/ directory")
-        return sorted(p.stem for p in images_dir.iterdir() if p.is_file()), src / "annotations"
+        files: dict[str, Path] = {}
+        for path in images_dir.iterdir():
+            if path.is_file() and files.setdefault(path.stem, path) is not path:
+                first, second = sorted((files[path.stem].name, path.name))
+                raise ConversionError(
+                    f"{images_dir}: {first} and {second} share the image id {path.stem!r}"
+                )
+        return sorted(files), src / "annotations"
     label_dir = src / "labels" / split
     if not label_dir.is_dir():
         label_dir = src / "labels"
@@ -336,6 +345,8 @@ def convert_dataset(
         descriptor[name] = f"labels/{split}" if name == split else ""
     if split not in ("train", "val", "test"):
         descriptor[split] = f"labels/{split}"
+    import yaml  # only convert writes YAML; stats and eval never load it
+
     (out / DESCRIPTOR).write_text(
         yaml.safe_dump(descriptor, sort_keys=False), encoding="utf-8", newline="\n"
     )

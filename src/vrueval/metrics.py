@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter, neg
 
 from .annotations import IGNORE_CLASS_ID
-from .errors import VruEvalError
+from .errors import ContractError, VruEvalError
 from .matching import FP, IGNORED, TP, check_iou_thresh, match_image, rank
 
 __all__ = [
@@ -92,6 +92,8 @@ def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[
     ``IGNORE_CLASS_ID``, and detection rows ``(class_id, confidence, x_min,
     y_min, x_max, y_max)``. Across images only each detection's confidence
     and fate are kept. Tied confidences rank in feed order, image after image.
+    A class id outside ``[0, num_classes)``, other than a ground truth's
+    ``IGNORE_CLASS_ID``, raises ``ContractError``.
     """
     check_iou_thresh(iou_thresh)
     k = num_classes
@@ -99,7 +101,9 @@ def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[
     fates: list[list[str]] = [[] for _ in range(k)]
     n_positives = [0] * k
     n_images = [0] * k
-    for truths, detections in images:
+    for position, (truths, detections) in enumerate(images):
+        _check_class_ids(truths, IGNORE_CLASS_ID, k, "ground-truth", position)
+        _check_class_ids(detections, 0, k, "detection", position)
         scorable: list[list] = [[] for _ in range(k)]
         regions = []
         for row in truths:
@@ -116,6 +120,23 @@ def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[
             fates[class_id] += match_image(ranked[class_id], candidates, regions, iou_thresh)
     merged = [rank(confidences[c], fates[c]) for c in range(k)]
     return [PRCurve(c, f, n_positives[c], conf, n_images[c]) for c, (f, conf) in enumerate(merged)]
+
+
+def _check_class_ids(rows, lowest: int, k: int, kind: str, position: int) -> None:
+    """Raise ``ContractError`` unless every row's class id lies in ``[lowest, k)``.
+
+    ``lowest`` is 0, or ``IGNORE_CLASS_ID`` (-1) where ignore regions may come.
+    """
+    if not rows:
+        return
+    ids = list(map(itemgetter(0), rows))
+    low, high = min(ids), max(ids)
+    if low < lowest or high >= k:
+        allowed = f"[0, {k})" + (" or IGNORE_CLASS_ID" if lowest < 0 else "")
+        raise ContractError(
+            f"image {position} of the feed: {kind} class id "
+            f"{low if low < lowest else high} is not in {allowed}"
+        )
 
 
 def average_precision(curve: PRCurve) -> float | None:

@@ -116,6 +116,17 @@ class TestConvertCommand:
         assert fault in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_two_image_files_sharing_an_id(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "visdrone_mini", src)
+        (src / "images" / "0000001.png").write_bytes(b"")
+        code, stdout, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {src / 'images'}: 0000001.jpg and 0000001.png share the image id '0000001'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "sidecar, fault",
         [
@@ -445,7 +456,11 @@ class TestEvalCommand:
                 '["pedestrian", "pedestrian"]',
                 "duplicate class names: ('pedestrian', 'pedestrian')",
             ),
-            ('"image_id": "img2"', '"image_id": "img1"', "duplicate image ids in split 'val'"),
+            (
+                '"image_id": "img2"',
+                '"image_id": "img1"',
+                "duplicate image ids in split 'val': 'img1' repeats",
+            ),
             # 7 and "7" would pass the duplicate check and read one label file
             ('"image_id": "img2"', '"image_id": 7', "image_id must be a string, got 7"),
         ],
@@ -562,6 +577,14 @@ class TestCompareCommand:
         )
         assert code == 0
         assert stdout.startswith("| Run |")
+
+    def test_defaults_are_the_benchmark_constants(self):
+        from vrueval import benchmark
+        from vrueval.cli import compare
+
+        defaults = {param.name: param.default for param in compare.params}
+        assert defaults["frames"] == benchmark.DEFAULT_FRAMES
+        assert defaults["epsilon"] == benchmark.DEFAULT_EPSILON
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(

@@ -6,6 +6,8 @@ import pytest
 from helpers import fixtures_root
 from vrueval.annotations import ClassMap, parse_box_rows
 from vrueval.dataset import (
+    DatasetManifest,
+    ManifestImage,
     convert_dataset,
     dataset_stats,
     load_manifest,
@@ -212,7 +214,18 @@ class TestConvert:
         (src / "images" / "a.jpg").write_bytes(b"")
         (src / "images" / "a.png").write_bytes(b"")
         (src / "dimensions.txt").write_text("a 400 250\n")
-        with pytest.raises(SchemaError, match="duplicate image ids"):
+        with pytest.raises(
+            ConversionError, match=r"images: a\.jpg and a\.png share the image id 'a'$"
+        ):
+            convert_dataset(src, VRU_MAP, tmp_path / "out", warn=lambda msg: None)
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_image_id_is_caught_before_any_parse(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURE, src)
+        (src / "images" / "0000001.png").write_bytes(b"")
+        (src / "annotations" / "0000001.txt").write_text("not an annotation\n")
+        with pytest.raises(ConversionError, match="0000001.jpg and 0000001.png share"):
             convert_dataset(src, VRU_MAP, tmp_path / "out", warn=lambda msg: None)
         assert not (tmp_path / "out").exists()
 
@@ -220,14 +233,21 @@ class TestConvert:
         src = tmp_path / "src"
         (src / "images").mkdir(parents=True)
         (src / "annotations").mkdir()
-        (src / "images" / "a.jpg").write_bytes(b"")
-        (src / "images" / "a.png").write_bytes(b"")
-        (src / "dimensions.txt").write_text("a 400 250\n")
+        (src / "images" / "a.jpg").write_bytes(b"")  # no annotation: a held warning
+        (src / "images" / "b.jpg").write_bytes(b"")
+        (src / "annotations" / "b.txt").write_text("not an annotation\n")
+        (src / "dimensions.txt").write_text("a 400 250\nb 400 250\n")
         warnings = []
-        with pytest.raises(SchemaError, match="duplicate image ids"):
+        with pytest.raises(ParseError, match="b.txt:1"):
             convert_dataset(src, VRU_MAP, tmp_path / "out", warn=warnings.append)
         assert warnings == []
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_manifest_image_id_names_the_first_repeat(self):
+        image = ManifestImage("b", ImageDims(4, 4), "labels/val/b.txt")
+        images = (image, ManifestImage("a", ImageDims(4, 4), "labels/val/a.txt"))
+        with pytest.raises(SchemaError, match=r"^duplicate image ids in split 'val': 'b' repeats$"):
+            DatasetManifest("val", ("person",), images + images, Path("."))
 
     def test_yolo_unmapped_class_id(self, tmp_path):
         labels = tmp_path / "src" / "labels"

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import det, gt, image_rows, random_instance
 from oracle import ap_from_points, class_ap, class_confusion, class_pr_points
-from vrueval.errors import VruEvalError
+from vrueval.errors import ContractError, VruEvalError
 from vrueval.matching import FP, IGNORED, TP
 from vrueval.metrics import (
     ConfusionCounts,
@@ -179,6 +179,35 @@ class TestPRCurve:
         assert curve.fates == (IGNORED, TP)
         assert cumulative(curve.fates) == [(1, 0)]  # only the scored detection
         assert curve.counts_at(0.0) == ConfusionCounts(1, 0, 0)
+
+
+class TestSweepClassIds:
+    """Ground truth may carry ``[0, k)`` or IGNORE_CLASS_ID; a detection only ``[0, k)``."""
+
+    BOX = (0.0, 0.0, 10.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "truth_id, det_id, fault",
+        [
+            (-2, 0, "ground-truth class id -2 is not in [0, 2) or IGNORE_CLASS_ID"),
+            (2, 0, "ground-truth class id 2 is not in [0, 2) or IGNORE_CLASS_ID"),
+            (0, 2, "detection class id 2 is not in [0, 2)"),
+            (0, -1, "detection class id -1 is not in [0, 2)"),
+        ],
+        ids=["truth-minus-two", "truth-num-classes", "detection-num-classes", "detection-ignore"],
+    )
+    def test_out_of_range_class_id_is_a_contract_error(self, truth_id, det_id, fault):
+        images = [
+            ([(0, *self.BOX)], [(1, 0.5, *self.BOX)]),
+            ([(truth_id, *self.BOX)], [(det_id, 0.9, *self.BOX)]),
+        ]
+        with pytest.raises(ContractError) as info:
+            sweep_images(images, 2, 0.5)
+        assert str(info.value) == f"image 1 of the feed: {fault}"
+
+    def test_ignore_regions_and_every_class_accepted(self):
+        images = [([(-1, *self.BOX), (0, *self.BOX), (1, *self.BOX)], [(1, 0.9, *self.BOX)])]
+        assert [c.n_positives for c in sweep_images(images, 2, 0.5)] == [1, 1]
 
 
 class TestAveragePrecision:
