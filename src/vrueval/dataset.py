@@ -226,8 +226,10 @@ def _detect_source_format(src: Path) -> str:
     raise ConversionError(f"{src}: no annotations/ or labels/ directory found")
 
 
-def _list_image_ids(src: Path, source_format: str, split: str) -> tuple[list[str], Path]:
-    """Image ids (sorted) plus the directory of their ``<image_id>.txt`` annotations."""
+def _list_sources(src: Path, source_format: str, split: str) -> tuple[dict[str, Path], Path]:
+    """Each image id's source file, in id order, plus the directory of their
+    ``<image_id>.txt`` annotations. The source file is ``images/<name>`` in the
+    visdrone layout and the label file in the label layout."""
     if source_format == "visdrone":
         images_dir = src / "images"
         if not images_dir.is_dir():
@@ -239,11 +241,11 @@ def _list_image_ids(src: Path, source_format: str, split: str) -> tuple[list[str
                 raise ConversionError(
                     f"{images_dir}: {first} and {second} share the image id {path.stem!r}"
                 )
-        return sorted(files), src / "annotations"
+        return dict(sorted(files.items())), src / "annotations"
     label_dir = src / "labels" / split
     if not label_dir.is_dir():
         label_dir = src / "labels"
-    return sorted(p.stem for p in label_dir.glob("*.txt")), label_dir
+    return dict(sorted((p.stem, p) for p in label_dir.glob("*.txt"))), label_dir
 
 
 def convert_dataset(
@@ -280,24 +282,25 @@ def convert_dataset(
     if source_format not in ("visdrone", "yolo"):
         raise ConversionError(f"unknown source format {source_format!r}")
     dim_index = read_dimension_index(src / DIMENSION_INDEX)
-    image_ids, ann_dir = _list_image_ids(src, source_format, split)
-    if not image_ids:
+    sources, ann_dir = _list_sources(src, source_format, split)
+    if not sources:
         raise ConversionError("no images found")
-    converted = set(image_ids)
 
     # phase 1: read, remap and render every image; nothing is written yet
     rendered = []
     held = []  # warnings of phase 1, emitted once it has succeeded
     if source_format == "yolo":
-        orphans = sorted(p.name for p in ann_dir.glob("*.ignore") if p.stem not in converted)
+        orphans = sorted(p.name for p in ann_dir.glob("*.ignore") if p.stem not in sources)
         if orphans:
             held.append(
                 f"{len(orphans)} ignore sidecars in {ann_dir} have no label file "
                 f"(first: {orphans[0]}); not converted"
             )
-    for image_id in image_ids:
+    for image_id, source in sources.items():
         if image_id not in dim_index:
-            raise ConversionError(f"no dimension entry for image {image_id!r}")
+            raise ConversionError(
+                f"{source}: no dimension entry for image {image_id!r} in {src / DIMENSION_INDEX}"
+            )
         dims = dim_index[image_id]
         ann_path = ann_dir / f"{image_id}.txt"
         if source_format == "visdrone":
@@ -354,7 +357,7 @@ def convert_dataset(
     stale = sorted(
         path.name
         for path in label_dir.iterdir()
-        if path.suffix in (".txt", ".ignore") and path.stem not in converted
+        if path.suffix in (".txt", ".ignore") and path.stem not in sources
     )
     if stale:
         warn(

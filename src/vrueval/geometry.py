@@ -62,13 +62,15 @@ def corner_iou(
     Each area is ``(x_max - x_min) * (y_max - y_min)``, and the union is
     ``a_area + b_area - inter``; 0.0 when the boxes do not overlap or the
     union is empty.
+
+    This is the hot pair test of matching, so the intersection edges are
+    conditional expressions rather than builtin ``max``/``min`` calls. Each
+    picks the operand the two-argument builtin picks (``max(a, b)`` is
+    ``b if b > a else a``, ``min(a, b)`` is ``b if b < a else a``), so ties
+    and signed zeros give the same bits.
     """
-    ix_min = max(ax_min, bx_min)
-    iy_min = max(ay_min, by_min)
-    ix_max = min(ax_max, bx_max)
-    iy_max = min(ay_max, by_max)
-    iw = ix_max - ix_min
-    ih = iy_max - iy_min
+    iw = (bx_max if bx_max < ax_max else ax_max) - (bx_min if bx_min > ax_min else ax_min)
+    ih = (by_max if by_max < ay_max else ay_max) - (by_min if by_min > ay_min else ay_min)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih

@@ -127,6 +127,18 @@ class TestConvertCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_stray_image_file_names_file_and_dimension_index(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "visdrone_mini", src)
+        (src / "images" / ".DS_Store").write_bytes(b"")
+        code, stdout, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {src / 'images' / '.DS_Store'}: no dimension entry for image "
+            f"'.DS_Store' in {src / 'dimensions.txt'}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "sidecar, fault",
         [

@@ -188,8 +188,26 @@ class TestConvert:
             (src / "images" / f"{image_id}.jpg").write_bytes(b"")
             (src / "annotations" / f"{image_id}.txt").write_text("10,10,50,50,0,1,0,0\n")
         (src / "dimensions.txt").write_text("a 400 250\n")
-        with pytest.raises(ConversionError, match="no dimension entry for image 'b'"):
+        with pytest.raises(ConversionError) as info:
             convert_dataset(src, VRU_MAP, tmp_path / "out")
+        assert str(info.value) == (
+            f"{src / 'images' / 'b.jpg'}: no dimension entry for image 'b' "
+            f"in {src / 'dimensions.txt'}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_dimension_entry_names_label_file(self, tmp_path):
+        labels = tmp_path / "src" / "labels" / "val"
+        labels.mkdir(parents=True)
+        for image_id in ("a", "b"):
+            (labels / f"{image_id}.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        (tmp_path / "src" / "dimensions.txt").write_text("a 400 200\n")
+        with pytest.raises(ConversionError) as info:
+            convert_dataset(tmp_path / "src", VRU_MAP, tmp_path / "out", split="val")
+        assert str(info.value) == (
+            f"{labels / 'b.txt'}: no dimension entry for image 'b' "
+            f"in {tmp_path / 'src' / 'dimensions.txt'}"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_failed_reconvert_keeps_class_map(self, tmp_path):

@@ -71,6 +71,77 @@ class TestIou:
         assert values[0] > values[1] > values[2]
 
 
+def reference_iou(a, b):
+    """``corner_iou``'s arithmetic with the intersection edges from builtin max/min."""
+    ax_min, ay_min, ax_max, ay_max = a
+    bx_min, by_min, bx_max, by_max = b
+    iw = min(ax_max, bx_max) - max(ax_min, bx_min)
+    ih = min(ay_max, by_max) - max(ay_min, by_min)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax_max - ax_min) * (ay_max - ay_min) + (bx_max - bx_min) * (by_max - by_min) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+# pairs where an edge of the intersection is a tie, or where the larger or
+# smaller operand is a full-precision float whose choice sets the value
+OPERAND_CASES = {
+    "shared-left-edge": ((0.0, 0.0, 10.0, 10.0), (0.0, 2.0, 7.0, 9.0)),
+    "shared-right-and-top-edges": ((0.0, 0.0, 10.0, 10.0), (3.0, 0.0, 10.0, 4.0)),
+    "touching-corners": ((0.0, 0.0, 5.0, 5.0), (5.0, 5.0, 9.0, 9.0)),
+    "touching-edge": ((0.0, 0.0, 5.0, 5.0), (5.0, 1.0, 9.0, 4.0)),
+    "nested": ((0.0, 0.0, 100.0, 100.0), (10.25, 20.5, 30.75, 99.5)),
+    "identical": ((1.5, 2.5, 3.5, 4.5), (1.5, 2.5, 3.5, 4.5)),
+    "equal-x-coordinates": ((2.0, 0.0, 8.0, 6.0), (2.0, 3.0, 8.0, 11.0)),
+    "equal-y-coordinates": ((0.0, 2.0, 6.0, 8.0), (3.0, 2.0, 11.0, 8.0)),
+    "negative-zero-against-zero": ((-0.0, -0.0, 4.0, 4.0), (0.0, 0.0, 2.0, 3.0)),
+    "zero-against-negative-zero": ((0.0, -0.0, 4.0, 4.0), (-0.0, 0.0, 4.0, 2.0)),
+    "negative-zero-width": ((-0.0, 0.0, 0.0, 5.0), (0.0, 0.0, -0.0, 5.0)),
+    "full-precision": (
+        (0.1 + 0.2, 1.0 / 3.0, 2.0 ** 0.5 * 7.0, 10.0 / 7.0 + 5.0),
+        (0.3, 0.3333333333333333, 9.899494936611665, 6.428571428571429),
+    ),
+    "full-precision-one-ulp-apart": (
+        (1919.9999999999998, 12.000000000000002, 1920.9999999999998, 40.1),
+        (1920.0, 12.0, 1921.0, 40.099999999999994),
+    ),
+    "denormalized-detection": (
+        denormalize(0.3786, 0.6123, 0.0513, 0.0971, ImageDims(1360, 765)),
+        denormalize(0.3791, 0.6118, 0.0507, 0.0969, ImageDims(1360, 765)),
+    ),
+}
+
+
+class TestIouOperandChoice:
+    @pytest.mark.parametrize("a, b", OPERAND_CASES.values(), ids=OPERAND_CASES.keys())
+    def test_equals_max_min_reference(self, a, b):
+        for first, second in ((a, b), (b, a)):
+            got = iou_of(first, second)
+            want = reference_iou(first, second)
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ((math.nan, 0.0, 4.0, 4.0), (5.0, 0.0, 6.0, 4.0), "nan"),
+            ((5.0, 0.0, 6.0, 4.0), (math.nan, 0.0, 4.0, 4.0), "0x0.0p+0"),
+            ((0.0, 0.0, math.nan, 4.0), (-2.0, 0.0, -1.0, 4.0), "nan"),
+            ((-2.0, 0.0, -1.0, 4.0), (0.0, 0.0, math.nan, 4.0), "0x0.0p+0"),
+        ],
+        ids=["nan-first-max", "nan-second-max", "nan-first-min", "nan-second-min"],
+    )
+    def test_nan_edge_picks_the_builtins_operand(self, a, b, expected):
+        # A NaN corner is the one input where the operand choice shows in the
+        # value: max() and min() keep their first operand whenever one side is
+        # NaN, so a NaN edge either reaches the result or a disjoint edge
+        # returns 0.0 first.
+        assert iou_of(a, b).hex() == reference_iou(a, b).hex() == expected
+
+
 class TestNormalization:
     def test_full_image_box(self):
         assert normalize(*box(0, 0, 100, 100), ImageDims(100, 100)) == (0.5, 0.5, 1.0, 1.0)
