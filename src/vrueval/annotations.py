@@ -18,11 +18,10 @@ as 10, an Arabic-Indic one as 1), which no annotation format writes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ParseError, SchemaError, read_input
+from .errors import CheckedRecord, ParseError, SchemaError, read_input
 from .geometry import ImageDims, check_normalized, denormalize
 
 __all__ = [
@@ -91,8 +90,14 @@ def _class_id(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ClassMap:
+class _ClassMap(NamedTuple):
+    mapping: Mapping[int, int]
+    names: tuple[str, ...]
+    drop: frozenset[int]
+    ignore: frozenset[int]
+
+
+class ClassMap(CheckedRecord, _ClassMap):
     """Source-category remapping onto contiguous target classes.
 
     ``mapping`` sends source category ids to target class ids 0..K-1;
@@ -101,25 +106,29 @@ class ClassMap:
     of source ids must be disjoint.
     """
 
-    mapping: Mapping[int, int]
-    names: tuple[str, ...]
-    drop: frozenset[int] = frozenset()
-    ignore: frozenset[int] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = len(self.names)
+    def __new__(
+        cls,
+        mapping: Mapping[int, int],
+        names: tuple[str, ...],
+        drop: frozenset[int] = frozenset(),
+        ignore: frozenset[int] = frozenset(),
+    ):
+        k = len(names)
         if k == 0:
             raise SchemaError("class map must define at least one target class")
-        if len(set(self.names)) != k:
-            raise SchemaError(f"duplicate target class names: {self.names}")
-        targets = set(self.mapping.values())
+        if len(set(names)) != k:
+            raise SchemaError(f"duplicate target class names: {names}")
+        targets = set(mapping.values())
         if targets != set(range(k)):
             raise SchemaError(
                 f"target class ids must be contiguous 0..{k - 1}, got {sorted(targets)}"
             )
-        sources = list(self.mapping) + list(self.drop) + list(self.ignore)
+        sources = list(mapping) + list(drop) + list(ignore)
         if len(sources) != len(set(sources)):
             raise SchemaError("a source category may appear in only one of map/drop/ignore")
+        return super().__new__(cls, mapping, names, drop, ignore)
 
     @property
     def num_classes(self) -> int:

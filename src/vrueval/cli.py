@@ -1,19 +1,21 @@
 """Command-line interface: convert, stats, eval, compare.
 
 Results go to stdout, diagnostics to stderr, so reports are pipeable.
-Exit codes: 0 success, 1 usage error, 2 data/contract error. Defaults
-reproduce the reference operating point: IoU threshold 0.5, confidence
-threshold 0.2, 30-frame throughput budget.
+Exit codes: 0 success (and ``--help``), 1 usage error, 2 data/contract
+error. A usage error prints a ``Usage:`` line and an ``Error:`` line that
+names the argument on stderr, and nothing on stdout. Defaults reproduce
+the reference operating point: IoU threshold 0.5, confidence threshold
+0.2, 30-frame throughput budget.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from .annotations import ClassMap
 from .dataset import convert_dataset, dataset_stats, load_manifest
@@ -24,8 +26,67 @@ from .render import TABLE_FORMATS, render_table
 OUTPUT_FORMATS = TABLE_FORMATS + ("structured",)
 
 
+class UsageError(Exception):
+    """A command line that the parser rejects: exit code 1."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, ``--help`` only, and errors raised as ``UsageError``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise UsageError(message, self.format_usage())
+
+
+def _path(is_dir: bool, must_exist: bool):
+    """An argument type: a path that is a directory (``is_dir``) or not, if it exists."""
+    noun, other = ("Directory", "a file") if is_dir else ("File", "a directory")
+
+    def check(text: str) -> str:
+        if not os.path.exists(text):
+            if must_exist:
+                raise argparse.ArgumentTypeError(f"{noun} {text!r} does not exist.")
+        elif os.path.isdir(text) != is_dir:
+            raise argparse.ArgumentTypeError(f"{noun} {text!r} is {other}.")
+        return text
+
+    return check
+
+
+def _number(requirement: str, holds):
+    """An argument type: a float for which ``holds`` is true."""
+
+    def check(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid float.") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return check
+
+
+_FILE = _path(is_dir=False, must_exist=True)
+_DIRECTORY = _path(is_dir=True, must_exist=True)
+_THRESHOLD = _number("in (0, 1]", lambda value: 0.0 < value <= 1.0)
+
+
 def _echo_result(text: str) -> None:
-    click.echo(text, nl=not text.endswith("\n"))
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _render(report, fmt: str) -> str:
@@ -35,191 +96,191 @@ def _render(report, fmt: str) -> str:
     return "\n".join(render_table(headers, rows, fmt) for headers, rows in report.to_tables())
 
 
-def _warn(ctx_obj: dict, message: str) -> None:
-    if not ctx_obj.get("quiet"):
-        click.echo(f"warning: {message}", err=True)
+def _warn(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
+        print(f"warning: {message}", file=sys.stderr)
 
 
-def _threshold(value: float, label: str) -> float:
-    if not 0.0 < value <= 1.0:
-        raise click.UsageError(f"{label} must be in (0, 1], got {value}")
-    return value
-
-
-@click.group()
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(OUTPUT_FORMATS),
-    default="aligned",
-    show_default=True,
-    help="Output format: aligned text table, csv, markdown table, or structured JSON.",
-)
-@click.option("--quiet", is_flag=True, help="Suppress warnings and notes on stderr.")
-@click.pass_context
-def cli(ctx, fmt, quiet):
-    """Detection evaluation and benchmarking for vulnerable-road-user datasets."""
-    ctx.obj = {"format": fmt, "quiet": quiet}
-
-
-@cli.command()
-@click.argument("src", type=click.Path(exists=True, file_okay=False))
-@click.argument("out", type=click.Path(file_okay=False))
-@click.option(
-    "--classmap",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="YAML class map (keys: names, map, drop, ignore). Default: the "
-    "four-VRU-class drone-survey remap.",
-)
-@click.option("--split", default="train", show_default=True, help="Split name for the output.")
-@click.option(
-    "--source-format",
-    type=click.Choice(["auto", "visdrone", "yolo"]),
-    default="auto",
-    show_default=True,
-    help="Source layout: annotations/ (visdrone) or labels/ (yolo).",
-)
-@click.option("--workers", type=int, default=1, help="Deprecated; has no effect.")
-@click.pass_context
-def convert(ctx, src, out, classmap, split, source_format, workers):
-    """Convert a dataset root SRC into label-file layout under OUT.
-
-    SRC needs a dimensions.txt index (one 'image_id width height' line per
-    image) next to its images/+annotations/ (or labels/) directories. OUT
-    receives labels/<split>/, dataset.yaml, dimensions.txt, manifest.json.
-    """
-    class_map = ClassMap.from_file(classmap) if classmap else ClassMap.visdrone_default()
+def _convert(args: argparse.Namespace) -> None:
+    class_map = ClassMap.from_file(args.classmap) if args.classmap else ClassMap.visdrone_default()
     manifest = convert_dataset(
-        src,
+        args.src,
         class_map,
-        out,
-        split=split,
-        source_format=source_format,
-        workers=workers,
-        warn=lambda msg: _warn(ctx.obj, msg),
+        args.out,
+        split=args.split,
+        source_format=args.source_format,
+        workers=args.workers,
+        warn=lambda msg: _warn(args, msg),
     )
     _echo_result(
-        f"converted {len(manifest.images)} images to {out} "
+        f"converted {len(manifest.images)} images to {args.out} "
         f"(split {manifest.split!r}, classes: {', '.join(manifest.class_names)})"
     )
 
 
-@cli.command()
-@click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-def stats(ctx, manifest):
-    """Per-class image and instance counts for a converted dataset."""
-    _echo_result(_render(dataset_stats(load_manifest(manifest)), ctx.obj["format"]))
+def _stats(args: argparse.Namespace) -> None:
+    _echo_result(_render(dataset_stats(load_manifest(args.manifest)), args.fmt))
 
 
-@cli.command("eval")
-@click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@click.argument("detections", type=click.Path(exists=True, file_okay=False))
-@click.option(
-    "--iou-thresh", type=float, default=DEFAULT_IOU_THRESH, show_default=True,
-    help="IoU threshold for matching.",
-)
-@click.option(
-    "--conf-thresh", type=float, default=DEFAULT_CONF_THRESH, show_default=True,
-    help="Confidence cut for precision/recall/F1 (AP always uses all detections).",
-)
-@click.option(
-    "--out", "out_path", type=click.Path(dir_okay=False), default=None,
-    help="Also write the structured JSON report to this file.",
-)
-@click.pass_context
-def eval_cmd(ctx, manifest, detections, iou_thresh, conf_thresh, out_path):
-    """Evaluate a detection directory against a converted dataset.
-
-    DETECTIONS holds one '<image_id>.txt' file per manifest image, each
-    line 'class confidence cx cy w h' with normalized coordinates.
-    """
-    iou_thresh = _threshold(iou_thresh, "--iou-thresh")
-    conf_thresh = _threshold(conf_thresh, "--conf-thresh")
-    mf = load_manifest(manifest)
-    report = evaluate(mf, detections, iou_thresh, conf_thresh)
+def _eval(args: argparse.Namespace) -> None:
+    mf = load_manifest(args.manifest)
+    report = evaluate(mf, args.detections, args.iou_thresh, args.conf_thresh)
     for warning in report.warnings:
-        _warn(ctx.obj, warning)
-    if out_path:
-        Path(out_path).write_text(_render(report, "structured") + "\n", encoding="utf-8")
-    _echo_result(_render(report, ctx.obj["format"]))
+        _warn(args, warning)
+    if args.out:
+        Path(args.out).write_text(_render(report, "structured") + "\n", encoding="utf-8")
+    _echo_result(_render(report, args.fmt))
 
 
-@cli.command()
-@click.argument("run_files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--baseline", default=None, help="Baseline run name (comparison mode).")
-@click.option(
-    "--scenario", is_flag=True,
-    help="Continual-learning mode: ordered runs, pairwise improvements, forgetting flags.",
-)
-@click.option(
-    "--sort-by", type=click.Choice(["precision", "recall", "f1", "map50"]),
-    default="map50", show_default=True, help="Ranking metric (comparison mode).",
-)
-# --frames and --epsilon spell benchmark.DEFAULT_FRAMES and DEFAULT_EPSILON, so
-# that only a compare run imports vrueval.benchmark; a test ties them together
-@click.option(
-    "--frames", type=float, default=30.0, show_default=True,
-    help="Frame budget for the computational-time column (seconds = frames/FPS).",
-)
-@click.option(
-    "--epsilon", type=float, default=0.02, show_default=True,
-    help="Forgetting-flag tolerance: flag a sequential run whose precision, "
-    "recall, and mAP all sit within epsilon of the scratch run.",
-)
-@click.pass_context
-def compare(ctx, run_files, baseline, scenario, sort_by, frames, epsilon):
-    """Compare model run records from RUN_FILES (YAML with a 'runs' list).
-
-    Multiple files are merged in argument order. Improvements are relative
-    percentages of the baseline value, 100*(new-base)/base. Stated-F1-vs-
-    formula discrepancies are reported on stderr, never silently reconciled.
-    """
+def _compare(args: argparse.Namespace) -> None:
+    if args.baseline is None and not args.scenario:
+        args.parser.error("--baseline is required unless --scenario is given")
     from .benchmark import compare_models, consistency_notes, continual_scenario, load_run_file
 
-    if not (math.isfinite(frames) and frames > 0):
-        raise click.UsageError(f"--frames must be finite and positive, got {frames}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise click.UsageError(f"--epsilon must be finite and non-negative, got {epsilon}")
     records = []
     forgetting_entries = []
-    for run_file in run_files:
+    for run_file in args.run_files:
         file_records, file_entries = load_run_file(run_file)
         records.extend(file_records)
         forgetting_entries.extend(file_entries)
     for note in consistency_notes(records):
-        _warn(ctx.obj, note)
-    if scenario:
-        report = continual_scenario(records, epsilon, forgetting_entries)
+        _warn(args, note)
+    if args.scenario:
+        report = continual_scenario(records, args.epsilon, forgetting_entries)
         for flag in report.flags:
             if flag.flagged:
-                _warn(ctx.obj, flag.describe())
-    elif baseline is None:
-        raise click.UsageError("--baseline is required unless --scenario is given")
+                _warn(args, flag.describe())
     else:
-        report = compare_models(records, baseline, frames, sort_by)
-    _echo_result(_render(report, ctx.obj["format"]))
+        report = compare_models(records, args.baseline, args.frames, args.sort_by)
+    _echo_result(_render(report, args.fmt))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``vrueval`` command line.
+
+    A parsed command line holds the command's function as ``run`` and the
+    command's parser as ``parser``.
+    """
+    parser = _Parser(
+        prog="vrueval",
+        description="Detection evaluation and benchmarking for vulnerable-road-user datasets.",
+    )
+    parser.add_argument(
+        "--format", dest="fmt", choices=OUTPUT_FORMATS, default="aligned",
+        help="Output format: aligned text table, csv, markdown table, or structured JSON."
+        " [default: %(default)s]",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", help="Suppress warnings and notes on stderr."
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, summary, details=""):
+        sub = commands.add_parser(
+            name, help=summary, description=f"{summary}\n\n{details}" if details else summary
+        )
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    convert = command(
+        "convert", _convert, "Convert a dataset root SRC into label-file layout under OUT.",
+        "SRC needs a dimensions.txt index (one 'image_id width height' line per\n"
+        "image) next to its images/+annotations/ (or labels/) directories. OUT\n"
+        "receives labels/<split>/, dataset.yaml, dimensions.txt, manifest.json.",
+    )
+    convert.add_argument("src", metavar="SRC", type=_DIRECTORY)
+    convert.add_argument("out", metavar="OUT", type=_path(is_dir=True, must_exist=False))
+    convert.add_argument(
+        "--classmap", metavar="FILE", type=_FILE,
+        help="YAML class map (keys: names, map, drop, ignore). Default: the "
+        "four-VRU-class drone-survey remap.",
+    )
+    convert.add_argument(
+        "--split", default="train", help="Split name for the output. [default: %(default)s]"
+    )
+    convert.add_argument(
+        "--source-format", choices=["auto", "visdrone", "yolo"], default="auto",
+        help="Source layout: annotations/ (visdrone) or labels/ (yolo). [default: %(default)s]",
+    )
+    convert.add_argument("--workers", type=int, default=1, help="Deprecated; has no effect.")
+
+    stats = command("stats", _stats, "Per-class image and instance counts for a converted dataset.")
+    stats.add_argument("manifest", metavar="MANIFEST", type=_FILE)
+
+    eval_ = command(
+        "eval", _eval, "Evaluate a detection directory against a converted dataset.",
+        "DETECTIONS holds one '<image_id>.txt' file per manifest image, each\n"
+        "line 'class confidence cx cy w h' with normalized coordinates.",
+    )
+    eval_.add_argument("manifest", metavar="MANIFEST", type=_FILE)
+    eval_.add_argument("detections", metavar="DETECTIONS", type=_DIRECTORY)
+    eval_.add_argument(
+        "--iou-thresh", type=_THRESHOLD, default=DEFAULT_IOU_THRESH,
+        help="IoU threshold for matching. [default: %(default)s]",
+    )
+    eval_.add_argument(
+        "--conf-thresh", type=_THRESHOLD, default=DEFAULT_CONF_THRESH,
+        help="Confidence cut for precision/recall/F1 (AP always uses all detections)."
+        " [default: %(default)s]",
+    )
+    eval_.add_argument(
+        "--out", metavar="FILE", type=_path(is_dir=False, must_exist=False),
+        help="Also write the structured JSON report to this file.",
+    )
+
+    compare = command(
+        "compare", _compare,
+        "Compare model run records from RUN_FILES (YAML with a 'runs' list).",
+        "Multiple files are merged in argument order. Improvements are relative\n"
+        "percentages of the baseline value, 100*(new-base)/base. Stated-F1-vs-\n"
+        "formula discrepancies are reported on stderr, never silently reconciled.",
+    )
+    compare.add_argument("run_files", metavar="RUN_FILES", nargs="+", type=_FILE)
+    compare.add_argument("--baseline", help="Baseline run name (comparison mode).")
+    compare.add_argument(
+        "--scenario", action="store_true",
+        help="Continual-learning mode: ordered runs, pairwise improvements, forgetting flags.",
+    )
+    compare.add_argument(
+        "--sort-by", choices=["precision", "recall", "f1", "map50"], default="map50",
+        help="Ranking metric (comparison mode). [default: %(default)s]",
+    )
+    # --frames and --epsilon spell benchmark.DEFAULT_FRAMES and DEFAULT_EPSILON, so
+    # that only a compare run imports vrueval.benchmark; a test ties them together
+    compare.add_argument(
+        "--frames", default=30.0,
+        type=_number("finite and positive", lambda value: math.isfinite(value) and value > 0),
+        help="Frame budget for the computational-time column (seconds = frames/FPS)."
+        " [default: %(default)s]",
+    )
+    compare.add_argument(
+        "--epsilon", default=0.02,
+        type=_number("finite and non-negative", lambda value: math.isfinite(value) and value >= 0),
+        help="Forgetting-flag tolerance: flag a sequential run whose precision, "
+        "recall, and mAP all sit within epsilon of the scratch run. [default: %(default)s]",
+    )
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = build_parser().parse_args(argv)
+        args.run(args)
         return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+    except SystemExit as exc:  # --help
+        return exc.code
+    except UsageError as exc:
+        sys.stderr.write(f"{exc.usage}Error: {exc}\n")
         return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except (VruEvalError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # malformed input must never escape as a traceback
-        click.echo(f"internal error: {exc!r}", err=True)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

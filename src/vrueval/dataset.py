@@ -23,8 +23,8 @@ identity map) reproduces identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .annotations import (
     IGNORE_CLASS_ID,
@@ -34,7 +34,7 @@ from .annotations import (
     parse_visdrone_file,
     plain_number,
 )
-from .errors import ConversionError, ParseError, SchemaError, read_input
+from .errors import CheckedRecord, ConversionError, ParseError, SchemaError, read_input
 from .geometry import ImageDims, normalize
 
 __all__ = [
@@ -54,40 +54,50 @@ DESCRIPTOR = "dataset.yaml"
 MANIFEST = "manifest.json"
 
 
-@dataclass(frozen=True)
-class ManifestImage:
+class _ManifestImage(NamedTuple):
     image_id: str
     dims: ImageDims
     label_path: str  # relative to the manifest's directory, never leaving it
 
-    def __post_init__(self):
-        if not isinstance(self.image_id, str):  # 7 and "7" would read one label file
-            raise TypeError(f"image_id must be a string, got {self.image_id!r}")
-        path = Path(self.label_path)
+
+class ManifestImage(CheckedRecord, _ManifestImage):
+    __slots__ = ()
+
+    def __new__(cls, image_id: str, dims: ImageDims, label_path: str):
+        if not isinstance(image_id, str):  # 7 and "7" would read one label file
+            raise TypeError(f"image_id must be a string, got {image_id!r}")
+        path = Path(label_path)
         if path.is_absolute() or ".." in path.parts:
             raise ValueError(
-                f"image {self.image_id!r}: label_path {self.label_path!r} "
+                f"image {image_id!r}: label_path {label_path!r} "
                 "must be relative and stay under the manifest directory"
             )
+        return super().__new__(cls, image_id, dims, label_path)
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class _DatasetManifest(NamedTuple):
     split: str
     class_names: tuple[str, ...]
     images: tuple[ManifestImage, ...]
     root: Path  # directory the label paths are relative to
 
-    def __post_init__(self):
-        if len(self.class_names) != len(set(self.class_names)):
-            raise SchemaError(f"duplicate class names: {self.class_names}")
+
+class DatasetManifest(CheckedRecord, _DatasetManifest):
+    __slots__ = ()
+
+    def __new__(
+        cls, split: str, class_names: tuple[str, ...], images: tuple[ManifestImage, ...], root: Path
+    ):
+        if len(class_names) != len(set(class_names)):
+            raise SchemaError(f"duplicate class names: {class_names}")
         seen = set()
-        for image in self.images:
+        for image in images:
             if image.image_id in seen:
                 raise SchemaError(
-                    f"duplicate image ids in split {self.split!r}: {image.image_id!r} repeats"
+                    f"duplicate image ids in split {split!r}: {image.image_id!r} repeats"
                 )
             seen.add(image.image_id)
+        return super().__new__(cls, split, class_names, images, root)
 
     def label_file(self, image: ManifestImage) -> Path:
         return self.root / image.label_path
@@ -142,14 +152,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise SchemaError(f"{path}: invalid manifest: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     images: int
     instances: int
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     split: str
     class_names: tuple[str, ...]
     per_class: tuple[ClassStats, ...]

@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit, and the one reader of input text.
+"""Exception types shared across the toolkit, the one reader of input text,
+and the base of the record types that check their fields.
 
-All of these map to CLI exit code 2 (data/contract errors); usage errors
-are exit code 1 and are handled by the CLI layer itself.
+Every exception type here maps to CLI exit code 2 (data/contract errors);
+usage errors are exit code 1 and are handled by the CLI layer itself.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ class ContractError(VruEvalError):
 
 class SchemaError(VruEvalError):
     """A structured input file (run records, manifest, class map) violates its schema."""
+
+
+class CheckedRecord(tuple):
+    """Mixed in before a NamedTuple by a record type whose ``__new__`` checks its fields.
+
+    ``_make``, and so ``_replace``, build through ``__new__`` as well.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def read_input(path: str | os.PathLike) -> str:

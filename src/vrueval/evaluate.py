@@ -9,8 +9,8 @@ column is the mean of the defined per-class APs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .annotations import parse_detection_rows
 from .dataset import DatasetManifest, ground_truth_rows
@@ -31,8 +31,7 @@ DEFAULT_IOU_THRESH = 0.5
 DEFAULT_CONF_THRESH = 0.2
 
 
-@dataclass(frozen=True)
-class ClassEval:
+class ClassEval(NamedTuple):
     """One report row; the pooled row uses class_id None and ap as mean AP."""
 
     class_id: int | None
@@ -45,8 +44,7 @@ class ClassEval:
     ap: float | None
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     classes: tuple[ClassEval, ...]
     all_row: ClassEval
     iou_thresh: float

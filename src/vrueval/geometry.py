@@ -7,9 +7,9 @@ are consistent with normalized center/size label formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConversionError
+from .errors import CheckedRecord, ConversionError
 
 __all__ = [
     "ImageDims",
@@ -20,19 +20,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImageDims:
-    """Pixel dimensions of one image: positive integers, never bools."""
-
+class _ImageDims(NamedTuple):
     width: int
     height: int
 
-    def __post_init__(self):
-        for value in (self.width, self.height):
+
+class ImageDims(CheckedRecord, _ImageDims):
+    """Pixel dimensions of one image: positive integers, never bools."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int):
+        for value in (width, height):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"image dims must be integers, got {self.width!r}x{self.height!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
+                raise ValueError(f"image dims must be integers, got {width!r}x{height!r}")
+        if width <= 0 or height <= 0:
+            raise ValueError(f"image dims must be positive, got {width}x{height}")
+        return super().__new__(cls, width, height)
 
 
 def check_normalized(cx: float, cy: float, w: float, h: float) -> None:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import itemgetter, neg
+from typing import NamedTuple
 
 from .annotations import IGNORE_CLASS_ID
-from .errors import ContractError, VruEvalError
+from .errors import CheckedRecord, ContractError, VruEvalError
 from .matching import FP, IGNORED, TP, check_iou_thresh, match_image, rank
 
 __all__ = [
@@ -31,15 +31,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class _ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn) < 0:
+
+class ConfusionCounts(CheckedRecord, _ConfusionCounts):
+    __slots__ = ()
+
+    def __new__(cls, tp: int, fp: int, fn: int):
+        self = super().__new__(cls, tp, fp, fn)
+        if min(tp, fp, fn) < 0:
             raise ValueError(f"negative confusion count: {self}")
+        return self
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
@@ -62,8 +67,7 @@ def f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass(frozen=True)
-class PRCurve:
+class PRCurve(NamedTuple):
     """Each detection's fate (TP, FP or IGNORED) and confidence, in rank order.
 
     ``confidences`` is therefore non-increasing; ``n_images`` counts the

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -592,11 +593,11 @@ class TestCompareCommand:
 
     def test_defaults_are_the_benchmark_constants(self):
         from vrueval import benchmark
-        from vrueval.cli import compare
+        from vrueval.cli import build_parser
 
-        defaults = {param.name: param.default for param in compare.params}
-        assert defaults["frames"] == benchmark.DEFAULT_FRAMES
-        assert defaults["epsilon"] == benchmark.DEFAULT_EPSILON
+        args = build_parser().parse_args(["compare", str(DATA / "model_benchmark.yaml")])
+        assert args.frames == benchmark.DEFAULT_FRAMES
+        assert args.epsilon == benchmark.DEFAULT_EPSILON
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(
@@ -615,6 +616,56 @@ class TestCliContract:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "stats", "--bogus")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (("frobnicate",), "frobnicate"),
+            (("stats", MICRO / "manifest.json", "--bogus"), "--bogus"),
+            (("eval", MICRO / "manifest.json", MICRO / "detections", "--iou", "0.5"), "--iou"),
+            (("eval", MICRO / "manifest.json"), "DETECTIONS"),
+            (("--format", "xml", "stats", MICRO / "manifest.json"), "--format"),
+            (
+                ("eval", MICRO / "manifest.json", MICRO / "detections", "--iou-thresh", "abc"),
+                "--iou-thresh",
+            ),
+            (("stats", "{tmp}/missing.json"), "MANIFEST"),
+            (("stats", MICRO), "MANIFEST"),
+            (("eval", MICRO / "manifest.json", MICRO / "manifest.json"), "DETECTIONS"),
+            (("convert", FIXTURES / "visdrone_mini", "{tmp}/file"), "OUT"),
+            (("convert", FIXTURES / "visdrone_mini", "{tmp}/out", "--classmap", MICRO), "--classmap"),
+        ],
+        ids=[
+            "unknown-command", "unknown-option", "abbreviated-option", "missing-argument",
+            "bad-choice", "not-a-float", "missing-manifest", "manifest-is-directory",
+            "detections-is-file", "out-is-file", "classmap-is-directory",
+        ],
+    )
+    def test_usage_error_names_the_argument(self, capsys, tmp_path, args, named):
+        (tmp_path / "file").write_text("")
+        args = [str(arg).replace("{tmp}", str(tmp_path)) for arg in args]
+        code, stdout, stderr = run(capsys, *args)
+        assert (code, stdout) == (1, "")
+        assert "Traceback" not in stderr
+        lines = stderr.splitlines()
+        assert lines[0].startswith("Usage: ")
+        assert named in next(line for line in lines if line.startswith("Error: "))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ((), ["aligned"]),
+            (("convert",), ["train", "auto"]),
+            (("eval",), ["0.5", "0.2"]),
+            (("compare",), ["map50", "30.0", "0.02"]),
+        ],
+    )
+    def test_help_shows_defaults(self, capsys, command, defaults):
+        code, stdout, _ = run(capsys, *command, "--help")
+        assert code == 0
+        for default in defaults:
+            assert re.search(rf"default:\s+{re.escape(default)}\]", stdout), default
 
     @pytest.mark.parametrize(
         "args",

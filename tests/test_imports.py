@@ -1,7 +1,9 @@
 """What a fresh interpreter loads: each CLI command imports only what it runs.
 
 The subprocess tests start a new interpreter, because in this one other
-tests have already imported PyYAML and ``vrueval.benchmark``.
+tests have already imported PyYAML and ``vrueval.benchmark``. ``click`` is
+no dependency, and ``dataclasses`` (with the ``inspect`` it imports) comes
+in only with ``vrueval.benchmark``.
 """
 
 import json
@@ -16,13 +18,14 @@ import vrueval
 from helpers import fixtures_root
 
 SRC = Path(__file__).parents[1] / "src"
-MICRO = fixtures_root() / "micro"
+FIXTURES = fixtures_root()
+MICRO = FIXTURES / "micro"
 DATA = Path(__file__).parents[1] / "data"
-LAZY = ("yaml", "vrueval.benchmark")
+LAZY = ("click", "dataclasses", "inspect", "yaml", "vrueval.benchmark")
 
 
-def loaded_after(code: str) -> list[str]:
-    """Which of LAZY a fresh interpreter has imported after running ``code``."""
+def loaded_after(code: str, cwd: Path) -> list[str]:
+    """Which of LAZY a fresh interpreter in ``cwd`` has imported after running ``code``."""
     probe = (
         f"import json, sys\n{code}\n"
         f"print(json.dumps([name for name in {LAZY!r} if name in sys.modules]))\n"
@@ -30,7 +33,8 @@ def loaded_after(code: str) -> list[str]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -48,13 +52,17 @@ def cli_run(*args) -> str:
         (cli_run("stats", MICRO / "manifest.json"), []),
         (cli_run("eval", MICRO / "manifest.json", MICRO / "detections"), []),
         # the probe sees what a command does import
-        (cli_run("compare", DATA / "model_benchmark.yaml", "--baseline", "yolov5x"), list(LAZY)),
+        (cli_run("--quiet", "convert", FIXTURES / "visdrone_mini", "out"), ["yaml"]),
+        (
+            cli_run("compare", DATA / "model_benchmark.yaml", "--baseline", "yolov5x"),
+            ["dataclasses", "inspect", "yaml", "vrueval.benchmark"],
+        ),
         ("import types, vrueval\nassert isinstance(vrueval.evaluate, types.ModuleType)", []),
     ],
-    ids=["package", "cli", "stats", "eval", "compare", "evaluate-module"],
+    ids=["package", "cli", "stats", "eval", "convert", "compare", "evaluate-module"],
 )
-def test_fresh_process_imports_only_what_it_runs(code, expected):
-    assert loaded_after(code) == expected
+def test_fresh_process_imports_only_what_it_runs(tmp_path, code, expected):
+    assert loaded_after(code, tmp_path) == expected
 
 
 def test_every_public_name_resolves():
