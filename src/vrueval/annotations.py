@@ -239,10 +239,32 @@ def _visdrone_row(
 
 def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None) -> list[tuple]:
     """Rows ``(class_id, x_min, y_min, x_max, y_max)`` of the kept lines of a source
-    annotation file, in file order; ignore regions under ``IGNORE_CLASS_ID``."""
+    annotation file, in file order; ignore regions under ``IGNORE_CLASS_ID``.
+
+    A line that fails the fast path below goes through ``_visdrone_row``, which
+    names its first fault, or returns its row (a trailing comma, or any line of a
+    file that is not all plain).
+    """
+    # ClassMap.target as one lookup; its map, ignore and drop sets are disjoint
+    targets = {
+        **class_map.mapping,
+        **dict.fromkeys(class_map.ignore, IGNORE_CLASS_ID),
+        **dict.fromkeys(class_map.drop),  # None: dropped
+    }
+    plain = _plain(text)
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
+        try:
+            left, top, width, height, _score, category, _trunc, _occl = map(int, line.split(","))
+            target = targets[category]
+            valid = plain and width > 0 and height > 0
+        except (ValueError, KeyError):
+            valid = False
+        if valid:
+            if target is not None:
+                right, bottom = left + width, top + height
+                rows.append((target, float(left), float(top), float(right), float(bottom)))
+        elif line.strip():
             row = _visdrone_row(line, class_map, path, lineno)
             if row is not None:
                 rows.append(row)
@@ -305,12 +327,55 @@ def parse_box_rows(
     text: str, lead: int, dims: ImageDims, num_classes: int | None = None, path: str | None = None
 ) -> list[tuple]:
     """Rows of a label (``lead`` 1) or ignore-region (``lead`` 0) file, in file order:
-    the class id of a label, then the corners ``x_min, y_min, x_max, y_max``."""
-    return [
-        _box_row(line, lead, dims, num_classes, path, lineno)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line and not line.isspace()
-    ]
+    the class id of a label, then the corners ``denormalize`` computes.
+
+    A line that fails the fast path below goes through ``_box_row``, which names
+    its first fault, or returns its row (a plain line in a file with a line that
+    is not plain).
+    """
+    width = dims.width
+    height = dims.height
+    class_limit = float("inf") if num_classes is None else num_classes
+    plain = _plain(text)
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if lead:
+                token, cx, cy, w, h = parts
+                class_id = int(token)
+            else:
+                cx, cy, w, h = parts
+                class_id = 0
+            cx = float(cx)
+            cy = float(cy)
+            w = float(w)
+            h = float(h)
+            valid = (
+                plain
+                and 0 <= class_id < class_limit
+                and 0.0 <= cx <= 1.0
+                and 0.0 <= cy <= 1.0
+                and 0.0 <= w <= 1.0
+                and 0.0 <= h <= 1.0
+            )
+        except ValueError:
+            valid = False
+        if not valid:
+            rows.append(_box_row(line, lead, dims, num_classes, path, lineno))
+            continue
+        # denormalize's arithmetic, without a call per line
+        half_w = w * width / 2.0
+        half_h = h * height / 2.0
+        cx = cx * width
+        cy = cy * height
+        if lead:
+            rows.append((class_id, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+        else:
+            rows.append((cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+    return rows
 
 
 def parse_label_file(

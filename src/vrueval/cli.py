@@ -40,13 +40,29 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
-    """No abbreviated options, ``--help`` only, and errors raised as ``UsageError``."""
+    """No abbreviated options, ``--help`` only, and errors raised as ``UsageError``.
+
+    argparse reports missing arguments before it returns unknown ones, so
+    ``vrueval stats --bogus`` would name ``MANIFEST``; the missing-argument
+    error is held back while the line has unknown arguments, so that the
+    top-level parser names them instead.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._missing = None
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self._missing and not extras:
+            raise UsageError(self._missing, self.format_usage())
+        return namespace, extras
+
     def error(self, message):
+        if message.startswith("the following arguments are required"):
+            self._missing = message  # argparse goes on to return the unknown arguments
+            return
         raise UsageError(message, self.format_usage())
 
 

@@ -23,6 +23,7 @@ identity map) reproduces identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -226,6 +227,43 @@ def _label_lines(rows: list[tuple], dims: ImageDims) -> tuple[str, str]:
     return "".join(label_lines), "".join(ignore_lines)
 
 
+# what a YAML 1.1 plain scalar reads as a bool or null, in any case
+_YAML_WORDS = frozenset(("yes", "no", "on", "off", "true", "false", "null"))
+
+
+def _descriptor_yaml(descriptor: dict) -> str:
+    """``yaml.safe_dump(descriptor, sort_keys=False)``, without PyYAML for plain words.
+
+    A plain word is ASCII, starts with a letter, holds only letters, digits and
+    ``_./-``, is shorter than 128 characters (the longest simple key) and is not
+    in ``_YAML_WORDS``: ``safe_dump`` writes it as it is, and ``''`` for an empty
+    value. Keys must be plain words and values plain words, empty, or non-empty
+    lists of those; any other descriptor goes to ``safe_dump``.
+    """
+    import re
+
+    def plain(text) -> bool:
+        return (
+            isinstance(text, str)
+            and re.fullmatch(r"[A-Za-z][\w./-]{0,126}", text, re.ASCII) is not None
+            and text.lower() not in _YAML_WORDS
+        )
+
+    lines = []
+    for key, value in descriptor.items():
+        items = value if isinstance(value, list) else [value]
+        if not (plain(key) and items and all(item == "" or plain(item) for item in items)):
+            import yaml
+
+            return yaml.safe_dump(descriptor, sort_keys=False)
+        texts = [item or "''" for item in items]
+        if isinstance(value, list):
+            lines += [f"{key}:", *(f"- {text}" for text in texts)]
+        else:
+            lines.append(f"{key}: {texts[0]}")
+    return "".join(line + "\n" for line in lines)
+
+
 def _detect_source_format(src: Path) -> str:
     if (src / "annotations").is_dir():
         return "visdrone"
@@ -356,11 +394,7 @@ def convert_dataset(
         descriptor[name] = f"labels/{split}" if name == split else ""
     if split not in ("train", "val", "test"):
         descriptor[split] = f"labels/{split}"
-    import yaml  # only convert writes YAML; stats and eval never load it
-
-    (out / DESCRIPTOR).write_text(
-        yaml.safe_dump(descriptor, sort_keys=False), encoding="utf-8", newline="\n"
-    )
+    (out / DESCRIPTOR).write_text(_descriptor_yaml(descriptor), encoding="utf-8", newline="\n")
     manifest.save(out / MANIFEST)
     stale = sorted(
         path.name
@@ -375,11 +409,17 @@ def convert_dataset(
     return manifest
 
 
+# what open() raises for a path that is missing, a directory, or under a file
+_NO_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
 def _sidecar_rows(path: Path, dims: ImageDims) -> list[tuple]:
     """Rows of an ignore-region sidecar under ``IGNORE_CLASS_ID``; none when it is absent."""
-    if not path.is_file():
+    try:
+        text = read_input(path)
+    except _NO_FILE:
         return []
-    regions = parse_box_rows(read_input(path), 0, dims, None, str(path))
+    regions = parse_box_rows(text, 0, dims, None, str(path))
     return [(IGNORE_CLASS_ID, *corners) for corners in regions]
 
 
@@ -387,9 +427,10 @@ def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[t
     """``(class_id, x_min, y_min, x_max, y_max)`` rows of one manifest image: its
     labels in file order, then its ignore-sidecar regions under ``IGNORE_CLASS_ID``."""
     label_path = manifest.label_file(image)
-    if not label_path.is_file():
-        raise ParseError("label file not found", str(label_path))
-    text = read_input(label_path)
+    try:
+        text = read_input(label_path)
+    except _NO_FILE:
+        raise ParseError("label file not found", str(label_path)) from None
     rows = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
     return rows + _sidecar_rows(manifest.ignore_file(image), image.dims)
 
@@ -398,17 +439,18 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
     """Per-class image/instance counts; ignore regions are not counted."""
     k = len(manifest.class_names)
     instances = [0] * k
-    image_sets = [set() for _ in range(k)]
+    images = [0] * k
     for image in manifest.images:
-        for class_id, _, _, _, _ in ground_truth_rows(manifest, image):
-            if class_id != IGNORE_CLASS_ID:
-                instances[class_id] += 1
-                image_sets[class_id].add(image.image_id)
+        counts = Counter([row[0] for row in ground_truth_rows(manifest, image)])
+        counts.pop(IGNORE_CLASS_ID, None)
+        for class_id, count in counts.items():
+            instances[class_id] += count
+            images[class_id] += 1
     return DatasetStats(
         split=manifest.split,
         class_names=manifest.class_names,
         per_class=tuple(
-            ClassStats(images=len(image_sets[i]), instances=instances[i]) for i in range(k)
+            ClassStats(images=images[i], instances=instances[i]) for i in range(k)
         ),
         total_images=len(manifest.images),
     )

@@ -618,6 +618,24 @@ class TestCliContract:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "args, error",
+        [
+            (("stats", "--bogus"), "unrecognized arguments: --bogus"),
+            (("eval", "--bogus", MICRO / "manifest.json"), "unrecognized arguments: --bogus"),
+            (("--bogus",), "unrecognized arguments: --bogus"),
+            (("stats",), "the following arguments are required: MANIFEST"),
+            (("eval", MICRO / "manifest.json"), "the following arguments are required: DETECTIONS"),
+        ],
+        ids=[
+            "before-positional", "between-positionals", "before-command", "missing", "one-missing",
+        ],
+    )
+    def test_unknown_option_is_named_before_a_missing_argument(self, capsys, args, error):
+        code, stdout, stderr = run(capsys, *args)
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines()[-1] == f"Error: {error}"
+
+    @pytest.mark.parametrize(
         "args, named",
         [
             (("frobnicate",), "frobnicate"),

@@ -5,11 +5,13 @@ import pytest
 
 from helpers import fixtures_root
 from vrueval.annotations import ClassMap, parse_box_rows
+from vrueval.cli import main
 from vrueval.dataset import (
     DatasetManifest,
     ManifestImage,
     convert_dataset,
     dataset_stats,
+    ground_truth_rows,
     load_manifest,
     read_dimension_index,
 )
@@ -455,6 +457,54 @@ class TestStats:
         bad.write_text("3 0.5 0.5 junk 0.1\n")
         with pytest.raises(ParseError, match="0000002.txt:1"):
             dataset_stats(manifest)
+
+
+class TestGroundTruthFiles:
+    """Where ``ground_truth_rows`` looks for an image's label file and sidecar."""
+
+    def manifest(self, root: Path, label_path: str) -> Path:
+        path = root / "manifest.json"
+        path.write_text(
+            '{"split": "t", "class_names": ["c0"], "images": [{"image_id": "a", '
+            f'"width": 100, "height": 100, "label_path": "{label_path}"}}]}}'
+        )
+        return path
+
+    @pytest.mark.parametrize("label_path", ["labels/t/a.txt", "./labels//t/a.txt"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "under-a-file"])
+    def test_no_label_file_exits_2_naming_the_normalized_path(
+        self, tmp_path, capsys, label_path, kind
+    ):
+        (tmp_path / "labels").mkdir()
+        if kind == "under-a-file":
+            (tmp_path / "labels" / "t").write_text("")
+        else:
+            (tmp_path / "labels" / "t").mkdir()
+        if kind == "directory":
+            (tmp_path / "labels" / "t" / "a.txt").mkdir()
+        (tmp_path / "detections").mkdir()
+        (tmp_path / "detections" / "a.txt").write_text("")
+        manifest = str(self.manifest(tmp_path, label_path))
+        expected = f"error: {tmp_path / 'labels' / 't' / 'a.txt'}: label file not found\n"
+        for args in (["stats", manifest], ["eval", manifest, str(tmp_path / "detections")]):
+            assert main(args) == 2
+            assert capsys.readouterr().err == expected
+
+    def test_sidecar_is_the_label_path_with_suffix_ignore(self, tmp_path):
+        (tmp_path / "a.lbl").write_text("0 0.5 0.5 0.2 0.2\n")
+        (tmp_path / "a.ignore").write_text("0.25 0.25 0.1 0.1\n")
+        (tmp_path / "a.lbl.ignore").write_text("not read\n")
+        manifest = load_manifest(self.manifest(tmp_path, "a.lbl"))
+        assert ground_truth_rows(manifest, manifest.images[0]) == [
+            (0, 40.0, 40.0, 60.0, 60.0),
+            (-1, 20.0, 20.0, 30.0, 30.0),
+        ]
+
+    def test_directory_at_the_sidecar_path_adds_no_regions(self, tmp_path):
+        (tmp_path / "a.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        (tmp_path / "a.ignore").mkdir()
+        manifest = load_manifest(self.manifest(tmp_path, "a.txt"))
+        assert ground_truth_rows(manifest, manifest.images[0]) == [(0, 40.0, 40.0, 60.0, 60.0)]
 
 
 def test_dimension_index_rejects_duplicates(tmp_path):

@@ -22,6 +22,10 @@ FIXTURES = fixtures_root()
 MICRO = FIXTURES / "micro"
 DATA = Path(__file__).parents[1] / "data"
 LAZY = ("click", "dataclasses", "inspect", "yaml", "vrueval.benchmark")
+VRU_MAP = (
+    "names: [pedestrian, people, bicycle, tricycle]\n"
+    "map: {1: 0, 2: 1, 3: 2, 7: 3}\ndrop: [4, 5, 6, 8, 9, 10, 11]\nignore: [0]\n"
+)
 
 
 def loaded_after(code: str, cwd: Path) -> list[str]:
@@ -51,15 +55,26 @@ def cli_run(*args) -> str:
         ("import vrueval.cli", []),
         (cli_run("stats", MICRO / "manifest.json"), []),
         (cli_run("eval", MICRO / "manifest.json", MICRO / "detections"), []),
-        # the probe sees what a command does import
-        (cli_run("--quiet", "convert", FIXTURES / "visdrone_mini", "out"), ["yaml"]),
+        # dataset.yaml of plain words is written without PyYAML
+        (cli_run("--quiet", "convert", FIXTURES / "visdrone_mini", "out"), []),
+        # the probe sees what a command does import: a class map is read with PyYAML
+        (
+            f"open('map.yaml', 'w').write({VRU_MAP!r})\n"
+            + cli_run(
+                "--quiet", "convert", FIXTURES / "visdrone_mini", "out", "--classmap", "map.yaml"
+            ),
+            ["yaml"],
+        ),
         (
             cli_run("compare", DATA / "model_benchmark.yaml", "--baseline", "yolov5x"),
             ["dataclasses", "inspect", "yaml", "vrueval.benchmark"],
         ),
         ("import types, vrueval\nassert isinstance(vrueval.evaluate, types.ModuleType)", []),
     ],
-    ids=["package", "cli", "stats", "eval", "convert", "compare", "evaluate-module"],
+    ids=[
+        "package", "cli", "stats", "eval", "convert", "convert-classmap", "compare",
+        "evaluate-module",
+    ],
 )
 def test_fresh_process_imports_only_what_it_runs(tmp_path, code, expected):
     assert loaded_after(code, tmp_path) == expected
