@@ -234,7 +234,10 @@ def _visdrone_row(
         raise ParseError(f"unmapped source category {category} ({known})", path, lineno)
     if target is None:
         return None
-    return (target, float(left), float(top), float(left + width), float(top + height))
+    try:
+        return (target, float(left), float(top), float(left + width), float(top + height))
+    except OverflowError:
+        raise ParseError("box coordinate out of the float range", path, lineno)
 
 
 def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None) -> list[tuple]:
@@ -253,21 +256,27 @@ def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None)
     }
     plain = _plain(text)
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            left, top, width, height, _score, category, _trunc, _occl = map(int, line.split(","))
-            target = targets[category]
-            valid = plain and width > 0 and height > 0
-        except (ValueError, KeyError):
-            valid = False
-        if valid:
-            if target is not None:
-                right, bottom = left + width, top + height
-                rows.append((target, float(left), float(top), float(right), float(bottom)))
-        elif line.strip():
-            row = _visdrone_row(line, class_map, path, lineno)
-            if row is not None:
-                rows.append(row)
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                left, top, width, height, _score, category, _trunc, _occl = map(
+                    int, line.split(",")
+                )
+                target = targets[category]
+                valid = plain and width > 0 and height > 0
+            except (ValueError, KeyError):
+                valid = False
+            if valid:
+                if target is not None:
+                    right, bottom = left + width, top + height
+                    rows.append((target, float(left), float(top), float(right), float(bottom)))
+            elif line.strip():
+                row = _visdrone_row(line, class_map, path, lineno)
+                if row is not None:
+                    rows.append(row)
+    except OverflowError:  # a kept box past the float range: the row checker names its line
+        _visdrone_row(line, class_map, path, lineno)
+        raise
     return rows
 
 

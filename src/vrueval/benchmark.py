@@ -12,11 +12,14 @@ small epsilon of the from-scratch reference run.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, fields
+import sys
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .errors import SchemaError, VruEvalError, read_input
+from .errors import CheckedRecord, SchemaError, VruEvalError, read_input
 from .evaluate import EvalReport
 from .metrics import f1 as f1_score
 
@@ -60,75 +63,103 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
-class ModelRunRecord:
+def _finite(value) -> bool:
+    """Whether a number fits a finite float; NaN, infinities and larger ints do not."""
+    return abs(value) <= sys.float_info.max
+
+
+class _ModelRunRecord(NamedTuple):
+    name: str
+    precision: float | None
+    recall: float | None
+    f1: float | None
+    map50: float | None
+    fps: float | None
+    inference_ms: float | None
+    training_hours: float | None
+    eval_dataset: str | None
+    note: str | None
+    extra: Mapping  # the run-file keys without a field of their own
+
+
+class ModelRunRecord(CheckedRecord, _ModelRunRecord):
     """Metric and timing row for one model configuration."""
 
-    name: str
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    map50: float | None = None
-    fps: float | None = None
-    inference_ms: float | None = None
-    training_hours: float | None = None
-    eval_dataset: str | None = None
-    note: str | None = None
-    extra: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise SchemaError(f"run name must be a string, got {self.name!r}")
+    def __new__(
+        cls, name, precision=None, recall=None, f1=None, map50=None, fps=None,
+        inference_ms=None, training_hours=None, eval_dataset=None, note=None,
+        extra=MappingProxyType({}),
+    ):
+        if not isinstance(name, str):
+            raise SchemaError(f"run name must be a string, got {name!r}")
+        self = super().__new__(
+            cls, name, precision, recall, f1, map50, fps, inference_ms, training_hours,
+            eval_dataset, note, extra,
+        )
+        for key in ("eval_dataset", "note"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise SchemaError(f"run {name!r}: {key}={value!r} is not a string")
         for key in _NUMBER_FIELDS:
             value = getattr(self, key)
             if value is not None and not _is_number(value):
-                raise SchemaError(f"run {self.name!r}: {key}={value!r} is not a number")
+                raise SchemaError(f"run {name!r}: {key}={value!r} is not a number")
         for metric in METRIC_FIELDS:
             value = getattr(self, metric)
             if value is not None and not 0.0 <= value <= 1.0:
-                raise SchemaError(f"run {self.name!r}: {metric}={value} outside [0, 1]")
-        if self.fps is not None and not (math.isfinite(self.fps) and self.fps > 0):
-            raise SchemaError(f"run {self.name!r}: fps={self.fps} must be finite and positive")
+                raise SchemaError(f"run {name!r}: {metric}={value} outside [0, 1]")
+        if fps is not None and not (_finite(fps) and fps > 0):
+            raise SchemaError(f"run {name!r}: fps={fps} must be finite and positive")
         for key in ("inference_ms", "training_hours"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise SchemaError(f"run {self.name!r}: {key}={value} must be finite")
-
-    def metric(self, name: str) -> float | None:
-        if name not in METRIC_FIELDS:
-            raise SchemaError(f"unknown metric {name!r}; choose from {METRIC_FIELDS}")
-        return getattr(self, name)
+            if value is not None and not _finite(value):
+                raise SchemaError(f"run {name!r}: {key}={value} must be finite")
+        for key, value in extra.items():  # the structured output writes them
+            try:
+                json.dumps({key: value}, allow_nan=False)
+            except (TypeError, ValueError):
+                raise SchemaError(f"run {name!r}: {key}={value!r} is not a JSON value") from None
+        return self
 
     def to_dict(self) -> dict:
-        doc = {"name": self.name}
-        for key in _KNOWN_FIELDS[1:]:
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
+        doc = {key: value for key, value in zip(_KNOWN_FIELDS, self) if value is not None}
         doc.update(self.extra)
         return doc
 
 
 # Run-file keys with a field of their own, in JSON key order; the rest go to ``extra``.
-_KNOWN_FIELDS = tuple(f.name for f in fields(ModelRunRecord) if f.name != "extra")
+_KNOWN_FIELDS = ModelRunRecord._fields[:-1]
 
 
 def _metric_cells(rec: ModelRunRecord) -> list[str]:
     """Table cells for a run's name and its metrics; a missing metric is blank."""
     return [rec.name] + [
-        "" if (value := rec.metric(metric)) is None else f"{value:.4f}"
+        "" if (value := getattr(rec, metric)) is None else f"{value:.4f}"
         for metric in METRIC_FIELDS
     ]
 
 
-@dataclass(frozen=True)
-class ForgettingEntry:
-    """Metric drop on an earlier task after training on a later one."""
-
+class _ForgettingEntry(NamedTuple):
     task: str
     metric: str
     before: float
     after: float
+
+
+class ForgettingEntry(CheckedRecord, _ForgettingEntry):
+    """Metric drop on an earlier task after training on a later one."""
+
+    __slots__ = ()
+
+    def __new__(cls, task: str, metric: str, before: float, after: float):
+        for key, value in (("before", before), ("after", after)):
+            if not _is_number(value):
+                raise SchemaError(f"{key}={value!r} is not a number")
+        if not (0.0 <= before <= 1.0 and 0.0 <= after <= 1.0):
+            raise SchemaError("before and after must be finite and in [0, 1]")
+        return super().__new__(cls, task, metric, float(before), float(after))
 
     @property
     def drop(self) -> float:
@@ -160,8 +191,7 @@ def forgetting(before: float, after: float) -> float:
     return before - after
 
 
-@dataclass(frozen=True)
-class ImprovementCell:
+class ImprovementCell(NamedTuple):
     metric: str
     base_run: str
     new_run: str
@@ -169,21 +199,37 @@ class ImprovementCell:
     new: float
     percent: float | None  # None when the baseline value is 0
 
+    @property
+    def rounded(self) -> float | None:
+        """``percent`` as the structured reports write it."""
+        return None if self.percent is None else round(self.percent, 6)
+
+    @property
+    def text(self) -> str:
+        """``percent`` as the tables write it."""
+        return "undefined" if self.percent is None else f"{self.percent:+.2f}"
+
 
 def _improvement_cell(metric, base_rec, new_rec) -> ImprovementCell | None:
-    base = base_rec.metric(metric)
-    new = new_rec.metric(metric)
+    base = getattr(base_rec, metric)
+    new = getattr(new_rec, metric)
     if base is None or new is None:
         return None
-    try:
-        percent = relative_improvement(new, base)
-    except VruEvalError:
-        percent = None
+    percent = relative_improvement(new, base) if base else None
     return ImprovementCell(metric, base_rec.name, new_rec.name, base, new, percent)
 
 
-@dataclass
-class ComparisonTable:
+def _run_names(records: list[ModelRunRecord], too_few: str) -> list[str]:
+    """The names of ``records``, which must be at least two and distinct."""
+    if len(records) < 2:
+        raise SchemaError(too_few)
+    names = [rec.name for rec in records]
+    if len(names) != len(set(names)):
+        raise SchemaError(f"duplicate run names: {names}")
+    return names
+
+
+class ComparisonTable(NamedTuple):
     """Per-run metrics with improvements relative to one baseline run."""
 
     baseline: str
@@ -200,33 +246,20 @@ class ComparisonTable:
 
     def to_dict(self) -> dict:
         times = self.computational_times()
-        rows = []
-        for rec in self.records:
-            row = rec.to_dict()
-            ct = times[rec.name]
-            row["computational_time_s"] = None if ct is None else round(ct, 6)
-            row["improvement_vs_baseline"] = {
-                metric: None if cell.percent is None else round(cell.percent, 6)
-                for metric, cell in self.improvements[rec.name].items()
+        rows = [
+            {
+                **rec.to_dict(),
+                "computational_time_s": None if (ct := times[rec.name]) is None else round(ct, 6),
+                "improvement_vs_baseline": {
+                    metric: cell.rounded for metric, cell in self.improvements[rec.name].items()
+                },
             }
-            rows.append(row)
-        return {
-            "baseline": self.baseline,
-            "frames": self.frames,
-            "sort_metric": self.sort_metric,
-            "runs": rows,
-        }
+            for rec in self.records
+        ]
+        return dict(zip(self._fields[:3], self), runs=rows)  # baseline, frames, sort_metric
 
     def to_tables(self) -> list[tuple[list[str], list[list[str]]]]:
-        headers = [
-            "Run",
-            "Precision",
-            "Recall",
-            "F1",
-            "mAP50",
-            "FPS",
-            f"Time/{self.frames:g}f (s)",
-        ]
+        headers = ["Run", "Precision", "Recall", "F1", "mAP50", "FPS", f"Time/{self.frames:g}f (s)"]
         headers += [f"d{m}%" for m in METRIC_FIELDS]
         times = self.computational_times()
         rows = []
@@ -235,14 +268,8 @@ class ComparisonTable:
             cells.append("" if rec.fps is None else f"{rec.fps:g}")
             ct = times[rec.name]
             cells.append("" if ct is None else f"{ct:.3f}")
-            for metric in METRIC_FIELDS:
-                cell = self.improvements[rec.name].get(metric)
-                if cell is None:
-                    cells.append("")
-                elif cell.percent is None:
-                    cells.append("undefined")
-                else:
-                    cells.append(f"{cell.percent:+.2f}")
+            improvements = self.improvements[rec.name]
+            cells += [improvements[m].text if m in improvements else "" for m in METRIC_FIELDS]
             rows.append(cells)
         return [(headers, rows)]
 
@@ -254,42 +281,26 @@ def compare_models(
     sort_metric: str = "map50",
 ) -> ComparisonTable:
     """Build the cross-model comparison table against a named baseline."""
-    if len(records) < 2:
-        raise SchemaError("need at least two run records to compare")
-    names = [rec.name for rec in records]
-    if len(names) != len(set(names)):
-        raise SchemaError(f"duplicate run names: {names}")
-    by_name = {rec.name: rec for rec in records}
-    if baseline not in by_name:
+    names = _run_names(records, "need at least two run records to compare")
+    if baseline not in names:
         raise SchemaError(f"baseline run {baseline!r} not found among {names}")
     if sort_metric not in METRIC_FIELDS:
         raise SchemaError(f"unknown sort metric {sort_metric!r}; choose from {METRIC_FIELDS}")
-    base_rec = by_name[baseline]
-    improvements = {}
-    for rec in records:
-        cells = {}
-        for metric in METRIC_FIELDS:
-            cell = _improvement_cell(metric, base_rec, rec)
-            if cell is not None:
-                cells[metric] = cell
-        improvements[rec.name] = cells
+    base_rec = records[names.index(baseline)]
+    improvements = {
+        rec.name: {m: cell for m in METRIC_FIELDS if (cell := _improvement_cell(m, base_rec, rec))}
+        for rec in records
+    }
 
     def sort_key(rec: ModelRunRecord):
-        value = rec.metric(sort_metric)
+        value = getattr(rec, sort_metric)
         return (value is None, -(value or 0.0), rec.name)
 
     ordered = sorted(records, key=sort_key)
-    return ComparisonTable(
-        baseline=baseline,
-        frames=frames,
-        sort_metric=sort_metric,
-        records=ordered,
-        improvements=improvements,
-    )
+    return ComparisonTable(baseline, frames, sort_metric, ordered, improvements)
 
 
-@dataclass(frozen=True)
-class ForgettingFlag:
+class ForgettingFlag(NamedTuple):
     """Verdict for one sequentially trained run vs the scratch reference."""
 
     run: str
@@ -299,14 +310,11 @@ class ForgettingFlag:
 
     def describe(self) -> str:
         gap_text = ", ".join(f"{m} gap {g:.3f}" for m, g in self.gaps.items())
-        verdict = (
-            "catastrophic forgetting suspected" if self.flagged else "no forgetting flag"
-        )
+        verdict = "catastrophic forgetting suspected" if self.flagged else "no forgetting flag"
         return f"{self.run} vs {self.reference}: {verdict} ({gap_text})"
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Ordered continual-learning runs with pairwise improvements and flags."""
 
     records: list[ModelRunRecord]
@@ -326,34 +334,14 @@ class ScenarioReport:
             "epsilon": self.epsilon,
             "runs": [rec.to_dict() for rec in self.records],
             "improvements": [
-                {
-                    "metric": cell.metric,
-                    "base_run": cell.base_run,
-                    "new_run": cell.new_run,
-                    "base": cell.base,
-                    "new": cell.new,
-                    "percent": None if cell.percent is None else round(cell.percent, 6),
-                }
-                for cell in self.improvements
+                {**cell._asdict(), "percent": cell.rounded} for cell in self.improvements
             ],
             "forgetting_flags": [
-                {
-                    "run": flag.run,
-                    "reference": flag.reference,
-                    "gaps": {m: round(g, 6) for m, g in flag.gaps.items()},
-                    "flagged": flag.flagged,
-                }
+                {**flag._asdict(), "gaps": {m: round(g, 6) for m, g in flag.gaps.items()}}
                 for flag in self.flags
             ],
             "forgetting_entries": [
-                {
-                    "task": e.task,
-                    "metric": e.metric,
-                    "before": e.before,
-                    "after": e.after,
-                    "drop": round(e.drop, 6),
-                }
-                for e in self.forgetting_entries
+                {**e._asdict(), "drop": round(e.drop, 6)} for e in self.forgetting_entries
             ],
         }
 
@@ -367,14 +355,7 @@ class ScenarioReport:
             run_rows.append(cells)
         imp_headers = ["Metric", "Base", "New", "Base value", "New value", "Improvement %"]
         imp_rows = [
-            [
-                cell.metric,
-                cell.base_run,
-                cell.new_run,
-                f"{cell.base:.4f}",
-                f"{cell.new:.4f}",
-                "undefined" if cell.percent is None else f"{cell.percent:+.2f}",
-            ]
+            [*cell[:3], f"{cell.base:.4f}", f"{cell.new:.4f}", cell.text]
             for cell in self.improvements
         ]
         flag_headers = ["Run", "Reference", "Flag", "Gaps"]
@@ -387,11 +368,7 @@ class ScenarioReport:
             ]
             for flag in self.flags
         ]
-        tables = [
-            (run_headers, run_rows),
-            (imp_headers, imp_rows),
-            (flag_headers, flag_rows),
-        ]
+        tables = [(run_headers, run_rows), (imp_headers, imp_rows), (flag_headers, flag_rows)]
         if self.forgetting_entries:
             fg_headers = ["Task", "Metric", "Before", "After", "Forgetting"]
             fg_rows = [
@@ -413,11 +390,7 @@ def continual_scenario(
     Improvements cover every ordered pair; forgetting flags compare each
     sequential run (third onward) against the scratch run (second).
     """
-    if len(records) < 2:
-        raise SchemaError("scenario analysis needs at least two run records")
-    names = [rec.name for rec in records]
-    if len(names) != len(set(names)):
-        raise SchemaError(f"duplicate run names: {names}")
+    _run_names(records, "scenario analysis needs at least two run records")
     improvements = []
     for metric in METRIC_FIELDS:
         for i, base_rec in enumerate(records):
@@ -429,29 +402,13 @@ def continual_scenario(
     if len(records) >= 3:
         scratch = records[1]
         for rec in records[2:]:
-            gaps = {}
-            for metric in FLAG_METRICS:
-                a = scratch.metric(metric)
-                b = rec.metric(metric)
-                if a is not None and b is not None:
-                    gaps[metric] = abs(a - b)
+            pairs = ((m, getattr(scratch, m), getattr(rec, m)) for m in FLAG_METRICS)
+            gaps = {m: abs(a - b) for m, a, b in pairs if a is not None and b is not None}
             flagged = bool(gaps) and all(g <= epsilon for g in gaps.values())
             flags.append(ForgettingFlag(rec.name, scratch.name, gaps, flagged))
     return ScenarioReport(
-        records=list(records),
-        improvements=improvements,
-        flags=flags,
-        forgetting_entries=list(forgetting_entries or []),
-        epsilon=epsilon,
+        list(records), improvements, flags, list(forgetting_entries or []), epsilon
     )
-
-
-def _entry_number(entry: dict, key: str) -> float:
-    """``entry[key]`` as a float; a string or a bool raises ValueError naming the field."""
-    value = entry[key]
-    if not _is_number(value):
-        raise ValueError(f"{key}={value!r} is not a number")
-    return float(value)
 
 
 def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[ForgettingEntry]]:
@@ -473,7 +430,7 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
         extra = {k: v for k, v in entry.items() if k not in _KNOWN_FIELDS}
         try:
             records.append(ModelRunRecord(**known, extra=extra))
-        except (TypeError, SchemaError) as exc:
+        except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     entries = []
     forgetting_doc = doc.get("forgetting", [])
@@ -481,17 +438,10 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
         raise SchemaError(f"{path}: 'forgetting' must be a list, got {forgetting_doc!r}")
     for entry in forgetting_doc:
         try:
-            parsed = ForgettingEntry(
-                task=str(entry["task"]),
-                metric=str(entry["metric"]),
-                before=_entry_number(entry, "before"),
-                after=_entry_number(entry, "after"),
-            )
-            if not (0.0 <= parsed.before <= 1.0 and 0.0 <= parsed.after <= 1.0):
-                raise ValueError("before and after must be finite and in [0, 1]")
-        except (KeyError, TypeError, ValueError) as exc:
+            task, metric = str(entry["task"]), str(entry["metric"])
+            entries.append(ForgettingEntry(task, metric, entry["before"], entry["after"]))
+        except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: invalid forgetting entry {entry!r}: {exc}") from exc
-        entries.append(parsed)
     return records, entries
 
 
@@ -505,10 +455,7 @@ def save_run_file(
 
     doc: dict = {"runs": [rec.to_dict() for rec in records]}
     if forgetting_entries:
-        doc["forgetting"] = [
-            {"task": e.task, "metric": e.metric, "before": e.before, "after": e.after}
-            for e in forgetting_entries
-        ]
+        doc["forgetting"] = [e._asdict() for e in forgetting_entries]
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8", newline="\n")
 
 
@@ -516,14 +463,9 @@ def record_from_report(
     name: str, report: EvalReport, eval_dataset: str | None = None
 ) -> ModelRunRecord:
     """Turn an evaluation report's pooled row into a run record."""
-    all_row = report.all_row
+    row = report.all_row
     return ModelRunRecord(
-        name=name,
-        precision=all_row.precision,
-        recall=all_row.recall,
-        f1=all_row.f1,
-        map50=all_row.ap,
-        eval_dataset=eval_dataset,
+        name, row.precision, row.recall, row.f1, row.ap, eval_dataset=eval_dataset
     )
 
 
@@ -559,9 +501,4 @@ def map_mean_note(
 
 def consistency_notes(records: list[ModelRunRecord]) -> list[str]:
     """All F1-vs-formula discrepancies found among the given records."""
-    notes = []
-    for record in records:
-        note = f1_formula_note(record)
-        if note is not None:
-            notes.append(note)
-    return notes
+    return [note for record in records if (note := f1_formula_note(record)) is not None]

@@ -321,6 +321,8 @@ def convert_dataset(
         warn("workers is deprecated and has no effect; conversion runs in one thread")
     if split in ("", ".", "..") or Path(split).name != split:
         raise ConversionError(f"split must be a single path component, got {split!r}")
+    if split == "names":  # dataset.yaml keeps the class names under that key
+        raise ConversionError("split 'names' would overwrite the class names in dataset.yaml")
     if src.is_dir() and not any(src.iterdir()):
         raise ConversionError("no images found")
     if source_format == "auto":

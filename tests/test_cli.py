@@ -170,6 +170,36 @@ class TestConvertCommand:
         assert stderr == f"error: {path}:1: non-ASCII whitespace '\\u3000' in the line\n"
         assert not (tmp_path / "out").exists()
 
+    def test_split_names_is_rejected(self, capsys, tmp_path):
+        # dataset.yaml keeps the class names under the key ``names``
+        code, stdout, stderr = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--split", "names"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: split 'names' would overwrite the class names in dataset.yaml\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "9" * 400 + ",10,5,5,0,1,0,0",  # the fast loop, at left
+            "1,1," + "9" * 400 + ",5,0,1,0,0",  # the fast loop, at left + width
+            "9" * 400 + ",10,5,5,0,1,0,0,",  # a trailing comma: the row checker
+        ],
+        ids=["left", "right", "row-checker"],
+    )
+    def test_box_past_the_float_range_names_its_line(self, capsys, tmp_path, line):
+        src = tmp_path / "src"
+        shutil.copytree(FIXTURES / "visdrone_mini", src)
+        annotations = src / "annotations" / "0000001.txt"
+        text = annotations.read_text()
+        annotations.write_text(text + line + "\n")
+        code, stdout, stderr = run(capsys, "convert", src, tmp_path / "out")
+        assert (code, stdout) == (2, "")
+        lineno = len(text.splitlines()) + 1
+        assert stderr == f"error: {annotations}:{lineno}: box coordinate out of the float range\n"
+        assert not (tmp_path / "out").exists()
+
     def test_box_outside_image_names_its_file(self, capsys, tmp_path):
         src = tmp_path / "src"
         (src / "images").mkdir(parents=True)
@@ -565,6 +595,30 @@ class TestCompareCommand:
         code, _, stderr = run(capsys, "compare", path, path, "--baseline", "a")
         assert code == 2
         assert "duplicate" in stderr
+
+    @pytest.mark.parametrize(
+        "field, fault",
+        [
+            ("eval_dataset: 5", "eval_dataset=5 is not a string"),
+            ("note: [x]", "note=['x'] is not a string"),
+            ("date: 2024-01-01", "date=datetime.date(2024, 1, 1) is not a JSON value"),
+            ("gain: .nan", "gain=nan is not a JSON value"),
+            # an int too large for a float (the table writes fps with {:g})
+            (f"fps: {10**400}", f"fps={10**400} must be finite and positive"),
+            (f"training_hours: {10**400}", f"training_hours={10**400} must be finite"),
+        ],
+        ids=["eval-dataset-int", "note-list", "extra-date", "extra-nan", "fps-int", "hours-int"],
+    )
+    @pytest.mark.parametrize("mode", [("--baseline", "b"), ("--scenario",)])
+    @pytest.mark.parametrize("fmt", ["aligned", "structured"])
+    def test_value_a_report_cannot_render_is_rejected(
+        self, capsys, tmp_path, field, fault, mode, fmt
+    ):
+        path = tmp_path / "runs.yaml"
+        path.write_text(f"runs:\n  - name: a\n    {field}\n  - name: b\n")
+        code, stdout, stderr = run(capsys, "--format", fmt, "compare", path, *mode)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}: run 'a': {fault}\n"
 
     @pytest.mark.parametrize("option", ["--frames", "--epsilon"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

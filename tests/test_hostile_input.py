@@ -1,14 +1,17 @@
-"""Hostile-input probe: mutated micro fixtures never crash the CLI.
+"""Hostile-input probe: mutated micro fixtures and run files never crash the CLI.
 
 Each example copies ``tests/fixtures/micro``, mutates one of its files with a
 hostile token or edit, and runs ``stats`` and ``eval`` (table and structured)
-in-process. Every run must exit 0 or 2, and an exit 2 must print an
-``error: `` line and never ``internal error``. The search is derandomized and
-bounded, so it guards against regressions rather than hunting for new bugs.
+in-process. The ``compare`` probe gives one field of a shipped run file, or an
+added extra field, a hostile YAML value, and runs both modes in both outputs.
+Every run must exit 0 or 2, and an exit 2 must print an ``error: `` line and
+never ``internal error``. The searches are derandomized and bounded, so they
+guard against regressions rather than hunting for new bugs.
 """
 
 import contextlib
 import io
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -19,6 +22,7 @@ from helpers import fixtures_root
 from vrueval.cli import main
 
 MICRO = fixtures_root() / "micro"
+DATA = Path(__file__).parents[1] / "data"
 FILES = sorted(p.relative_to(MICRO).as_posix() for p in MICRO.rglob("*") if p.is_file())
 TOKENS = [
     "nan", "inf", "-inf", "1e309", "-1e309", "1e-320", "1_0", "0.5_0", "+1", "-0.0", "-1",
@@ -64,6 +68,15 @@ def run(args) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def check_exit(args) -> None:
+    """``args`` runs to exit 0, or to exit 2 with an ``error: `` line and no internal error."""
+    code, stderr = run(args)
+    assert code in (0, 2), (args, stderr)
+    assert "internal error" not in stderr, (args, stderr)
+    if code == 2:
+        assert any(line.startswith("error: ") for line in stderr.splitlines()), stderr
+
+
 @settings(
     max_examples=200,
     derandomize=True,
@@ -84,8 +97,38 @@ def test_mutated_fixture_exits_zero_or_two_with_an_error_line(mutated):
             ("eval", manifest, detections),
             ("--format", "structured", "eval", manifest, detections),
         ):
-            code, stderr = run(args)
-            assert code in (0, 2), (args, stderr)
-            assert "internal error" not in stderr, (args, stderr)
-            if code == 2:
-                assert any(line.startswith("error: ") for line in stderr.splitlines()), stderr
+            check_exit(args)
+
+
+# run file -> its baseline run in comparison mode
+RUN_FILES = {"model_benchmark.yaml": "yolov5x", "continual_runs.yaml": "caltech-scratch"}
+RUN_VALUES = [
+    "x", "'0.5'", "true", "2024-01-01", ".nan", ".inf", "-.inf", "[1, 2]", "{a: 1}", "null",
+]
+
+
+@st.composite
+def mutated_run_files(draw):
+    """A shipped run file with one field's value, or an added extra field, made hostile."""
+    name = draw(st.sampled_from(sorted(RUN_FILES)))
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = [i for i, line in enumerate(lines) if re.match(r"  [- ] \w+: ", line)]
+    i = draw(st.sampled_from(fields))
+    value = draw(st.sampled_from(RUN_VALUES))
+    if draw(st.booleans()):  # an extra field after this one
+        lines.insert(i + 1, f"    gpu: {value}\n")
+    else:
+        lines[i] = f"{lines[i].split(': ')[0]}: {value}\n"
+    return name, "".join(lines)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(mutated=mutated_run_files())
+def test_mutated_run_file_exits_zero_or_two_with_an_error_line(mutated):
+    name, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        for mode in (("--baseline", RUN_FILES[name]), ("--scenario",)):
+            for fmt in ("aligned", "structured"):
+                check_exit(("--format", fmt, "compare", path, *mode))

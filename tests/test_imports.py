@@ -2,8 +2,8 @@
 
 The subprocess tests start a new interpreter, because in this one other
 tests have already imported PyYAML and ``vrueval.benchmark``. ``click`` is
-no dependency, and ``dataclasses`` (with the ``inspect`` it imports) comes
-in only with ``vrueval.benchmark``.
+no dependency, and no command loads ``dataclasses`` or the ``inspect`` it
+imports: every record type is a ``typing.NamedTuple``.
 """
 
 import json
@@ -67,7 +67,7 @@ def cli_run(*args) -> str:
         ),
         (
             cli_run("compare", DATA / "model_benchmark.yaml", "--baseline", "yolov5x"),
-            ["dataclasses", "inspect", "yaml", "vrueval.benchmark"],
+            ["yaml", "vrueval.benchmark"],
         ),
         ("import types, vrueval\nassert isinstance(vrueval.evaluate, types.ModuleType)", []),
     ],

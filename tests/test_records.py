@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from vrueval.annotations import ClassMap
+from vrueval.benchmark import ForgettingEntry, ModelRunRecord
 from vrueval.dataset import DatasetManifest, ManifestImage
 from vrueval.errors import SchemaError
 from vrueval.geometry import ImageDims
@@ -29,10 +30,46 @@ def test_a_record_is_an_immutable_tuple():
         (ManifestImage("a", ImageDims(1, 1), "labels/a.txt"), "label_path", "../a.txt", ValueError),
         (DatasetManifest("val", ("a",), (), Path("ds")), "class_names", ("a", "a"), SchemaError),
         (ConfusionCounts(1, 0, 0), "fp", -1, ValueError),
+        (ModelRunRecord("a", map50=0.5), "map50", 1.5, SchemaError),
+        (ModelRunRecord("a"), "eval_dataset", 5, SchemaError),
+        (ModelRunRecord("a", extra={"gpu": "x"}), "extra", {"gpu": float("nan")}, SchemaError),
+        (ForgettingEntry("t", "map50", 0.5, 0.4), "after", 1.2, SchemaError),
     ],
-    ids=["ImageDims", "ClassMap", "ManifestImage", "DatasetManifest", "ConfusionCounts"],
+    ids=[
+        "ImageDims", "ClassMap", "ManifestImage", "DatasetManifest", "ConfusionCounts",
+        "ModelRunRecord", "ModelRunRecord-text", "ModelRunRecord-extra", "ForgettingEntry",
+    ],
 )
 def test_replace_checks_like_construction(record, field, bad, error):
     with pytest.raises(error):
         record._replace(**{field: bad})
     assert record._replace(**{field: getattr(record, field)}) == record
+
+
+def test_a_run_record_has_its_own_immutable_extra():
+    first, second = ModelRunRecord("a"), ModelRunRecord("b")
+    assert first.extra == {}
+    with pytest.raises(TypeError):
+        first.extra["gpu"] = "x"
+    assert second.extra == {}
+
+
+@pytest.mark.parametrize(
+    "before, after, error",
+    [
+        (1.5, 0.4, r"before and after must be finite and in \[0, 1\]"),
+        (0.5, float("nan"), r"before and after must be finite and in \[0, 1\]"),
+        (10**400, 0.4, r"before and after must be finite and in \[0, 1\]"),
+        ("0.5", 0.4, "before='0.5' is not a number"),
+        (0.5, True, "after=True is not a number"),
+    ],
+)
+def test_a_forgetting_entry_built_in_code_is_checked(before, after, error):
+    with pytest.raises(SchemaError, match=error):
+        ForgettingEntry("t", "map50", before, after)
+
+
+def test_a_forgetting_entry_holds_floats():
+    entry = ForgettingEntry("t", "map50", 1, 0)
+    assert (entry.before, entry.after) == (1.0, 0.0)
+    assert type(entry.before) is type(entry.after) is float
