@@ -134,17 +134,16 @@ class ClassMap(CheckedRecord, _ClassMap):
     def num_classes(self) -> int:
         return len(self.names)
 
-    def target(self, category: int) -> int | None:
-        """Target class id of a source category.
-
-        ``IGNORE_CLASS_ID`` for an ``ignore`` category, None for a ``drop``
-        one; raises KeyError for a category in none of the three sets.
-        """
-        if category in self.drop:
-            return None
-        if category in self.ignore:
-            return IGNORE_CLASS_ID
-        return self.mapping[category]
+    @property
+    def targets(self) -> dict[int, int | None]:
+        """Each source id's target class id: ``IGNORE_CLASS_ID`` for an ``ignore``
+        category, None for a ``drop`` one; a category in none of the three sets
+        is not a key."""
+        return {
+            **self.mapping,
+            **dict.fromkeys(self.ignore, IGNORE_CLASS_ID),
+            **dict.fromkeys(self.drop),
+        }
 
     @classmethod
     def visdrone_default(cls) -> "ClassMap":
@@ -177,7 +176,7 @@ class ClassMap(CheckedRecord, _ClassMap):
 
         try:
             doc = yaml.load(read_input(path), Loader=_class_map_loader())
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:  # huge int, deep nesting
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
@@ -209,7 +208,7 @@ def plain_number(convert, field: str):
 
 
 def _visdrone_row(
-    line: str, class_map: ClassMap, path: str | None, lineno: int
+    line: str, targets: Mapping[int, int | None], path: str | None, lineno: int
 ) -> tuple | None:
     """``(class_id, x_min, y_min, x_max, y_max)`` of one source annotation line.
 
@@ -228,7 +227,7 @@ def _visdrone_row(
     if width <= 0 or height <= 0:
         raise ParseError(f"degenerate box: width={width} height={height}", path, lineno)
     try:
-        target = class_map.target(category)
+        target = targets[category]
     except KeyError:
         known = _VISDRONE_NAMES.get(category, "unknown")
         raise ParseError(f"unmapped source category {category} ({known})", path, lineno)
@@ -248,12 +247,7 @@ def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None)
     names its first fault, or returns its row (a trailing comma, or any line of a
     file that is not all plain).
     """
-    # ClassMap.target as one lookup; its map, ignore and drop sets are disjoint
-    targets = {
-        **class_map.mapping,
-        **dict.fromkeys(class_map.ignore, IGNORE_CLASS_ID),
-        **dict.fromkeys(class_map.drop),  # None: dropped
-    }
+    targets = class_map.targets
     plain = _plain(text)
     rows = []
     try:
@@ -271,11 +265,11 @@ def parse_visdrone_file(text: str, class_map: ClassMap, path: str | None = None)
                     right, bottom = left + width, top + height
                     rows.append((target, float(left), float(top), float(right), float(bottom)))
             elif line.strip():
-                row = _visdrone_row(line, class_map, path, lineno)
+                row = _visdrone_row(line, targets, path, lineno)
                 if row is not None:
                     rows.append(row)
     except OverflowError:  # a kept box past the float range: the row checker names its line
-        _visdrone_row(line, class_map, path, lineno)
+        _visdrone_row(line, targets, path, lineno)
         raise
     return rows
 
@@ -335,8 +329,9 @@ def _box_row(
 def parse_box_rows(
     text: str, lead: int, dims: ImageDims, num_classes: int | None = None, path: str | None = None
 ) -> list[tuple]:
-    """Rows of a label (``lead`` 1) or ignore-region (``lead`` 0) file, in file order:
-    the class id of a label, then the corners ``denormalize`` computes.
+    """Rows of a detection (``lead`` 2), label (``lead`` 1) or ignore-region
+    (``lead`` 0) file, in file order: the ``lead`` values (class id, then a
+    detection's confidence), then the corners ``denormalize`` computes.
 
     A line that fails the fast path below goes through ``_box_row``, which names
     its first fault, or returns its row (a plain line in a file with a line that
@@ -346,18 +341,23 @@ def parse_box_rows(
     height = dims.height
     class_limit = float("inf") if num_classes is None else num_classes
     plain = _plain(text)
+    class_id = 0  # what the checks below see for a lead the lines do not carry
+    confidence = 0.0
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
         try:
-            if lead:
+            if lead == 2:
+                token, confidence, cx, cy, w, h = parts
+                class_id = int(token)
+                confidence = float(confidence)
+            elif lead:
                 token, cx, cy, w, h = parts
                 class_id = int(token)
             else:
                 cx, cy, w, h = parts
-                class_id = 0
             cx = float(cx)
             cy = float(cy)
             w = float(w)
@@ -365,6 +365,7 @@ def parse_box_rows(
             valid = (
                 plain
                 and 0 <= class_id < class_limit
+                and 0.0 <= confidence <= 1.0
                 and 0.0 <= cx <= 1.0
                 and 0.0 <= cy <= 1.0
                 and 0.0 <= w <= 1.0
@@ -380,7 +381,9 @@ def parse_box_rows(
         half_h = h * height / 2.0
         cx = cx * width
         cy = cy * height
-        if lead:
+        if lead == 2:
+            rows.append((class_id, confidence, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+        elif lead:
             rows.append((class_id, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
         else:
             rows.append((cx - half_w, cy - half_h, cx + half_w, cy + half_h))
@@ -392,66 +395,30 @@ def parse_label_file(
 ) -> list[tuple]:
     """Rows ``(class_id, x_min, y_min, x_max, y_max)`` of the kept lines of a label-layout
     source, remapped through ``class_map``, in file order; ignore regions under
-    ``IGNORE_CLASS_ID``."""
+    ``IGNORE_CLASS_ID``.
+
+    Every line is read by ``parse_box_rows`` before any is remapped, so a
+    malformed line is named before an unmapped class id on an earlier line.
+    """
+    targets = class_map.targets
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line and not line.isspace():
-            class_id, *corners = _box_row(line, 1, dims, None, path, lineno)
-            try:
-                target = class_map.target(class_id)
-            except KeyError:
-                raise ParseError(f"unmapped class id {class_id}", path, lineno)
-            if target is not None:
-                rows.append((target, *corners))
+    for index, (class_id, *corners) in enumerate(parse_box_rows(text, 1, dims, None, path)):
+        try:
+            target = targets[class_id]
+        except KeyError:  # name the line: the index-th that is not blank
+            lineno = [n for n, line in enumerate(text.splitlines(), start=1) if line.split()][index]
+            raise ParseError(f"unmapped class id {class_id}", path, lineno)
+        if target is not None:
+            rows.append((target, *corners))
     return rows
 
 
 def parse_detection_rows(
-    text: str,
-    dims: ImageDims,
-    num_classes: int | None = None,
-    path: str | None = None,
+    text: str, dims: ImageDims, num_classes: int | None = None, path: str | None = None
 ) -> list[tuple[int, float, float, float, float, float]]:
     """Parse a per-image detection file (``class confidence cx cy w h`` lines).
 
     Returns one ``(class_id, confidence, x_min, y_min, x_max, y_max)`` row
     per line, in file order, with the corners ``denormalize`` computes.
     """
-    width = dims.width
-    height = dims.height
-    class_limit = float("inf") if num_classes is None else num_classes
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            token, conf, cx, cy, w, h = parts
-            class_id = int(token)
-            confidence = float(conf)
-            cx = float(cx)
-            cy = float(cy)
-            w = float(w)
-            h = float(h)
-            valid = (
-                line.isascii()  # plain decimals only, see the module docstring
-                and "_" not in line
-                and 0 <= class_id < class_limit
-                and 0.0 <= confidence <= 1.0
-                and 0.0 <= cx <= 1.0
-                and 0.0 <= cy <= 1.0
-                and 0.0 <= w <= 1.0
-                and 0.0 <= h <= 1.0
-            )
-        except ValueError:
-            valid = False
-        if not valid:  # the row checker raises a message naming the fault
-            rows.append(_box_row(line, 2, dims, num_classes, path, lineno))
-            continue
-        # denormalize's arithmetic, without a call per line
-        half_w = w * width / 2.0
-        half_h = h * height / 2.0
-        cx = cx * width
-        cy = cy * height
-        rows.append((class_id, confidence, cx - half_w, cy - half_h, cx + half_w, cy + half_h))
-    return rows
+    return parse_box_rows(text, 2, dims, num_classes, path)

@@ -418,7 +418,7 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
     path = Path(path)
     try:
         doc = yaml.safe_load(read_input(path))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # huge int, deep nesting
         raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "runs" not in doc or not isinstance(doc["runs"], list):
         raise SchemaError(f"{path}: expected a mapping with a 'runs' list")

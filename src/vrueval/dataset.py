@@ -129,7 +129,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         raise SchemaError(f"{path}: invalid manifest JSON: {exc}") from exc
     try:
         names = doc["class_names"]

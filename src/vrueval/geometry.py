@@ -7,6 +7,7 @@ are consistent with normalized center/size label formats.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import CheckedRecord, ConversionError
@@ -36,6 +37,8 @@ class ImageDims(CheckedRecord, _ImageDims):
                 raise ValueError(f"image dims must be integers, got {width!r}x{height!r}")
         if width <= 0 or height <= 0:
             raise ValueError(f"image dims must be positive, got {width}x{height}")
+        if width > sys.float_info.max or height > sys.float_info.max:  # no float holds them
+            raise ValueError("image dims must be within the float range")
         return super().__new__(cls, width, height)
 
 

@@ -7,6 +7,7 @@ from vrueval.annotations import (
     ClassMap,
     parse_box_rows,
     parse_detection_rows,
+    parse_label_file,
     parse_visdrone_file,
 )
 from vrueval.errors import ParseError, SchemaError
@@ -45,12 +46,12 @@ class TestClassMap:
         "category, expected", [(1, 0), (7, 3), (4, None), (11, None), (0, IGNORE_CLASS_ID)]
     )
     def test_target(self, category, expected):
-        assert VRU_MAP.target(category) == expected
+        assert VRU_MAP.targets[category] == expected
 
     @pytest.mark.parametrize("category", [12, -1])
     def test_target_of_unmapped_category(self, category):
         with pytest.raises(KeyError):
-            VRU_MAP.target(category)
+            VRU_MAP.targets[category]
 
     def test_targets_must_be_contiguous(self):
         with pytest.raises(SchemaError):
@@ -175,6 +176,28 @@ class TestDetections:
     def test_field_count(self):
         with pytest.raises(ParseError, match="6 fields"):
             parse_detection_rows("1 0.5 0.5 0.5 0.2", self.dims)
+
+
+class TestLabelLayoutSource:
+    CLASS_MAP = ClassMap.identity(["pedestrian"])
+    DIMS = ImageDims(400, 200)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("\n  \n\t\n0 0.5 0.5 0.2 0.2\n\n3 0.5 0.5 0.2 0.2\n", 6),
+            # a non-ASCII blank line: every line goes through the row checker
+            ("0 0.5 0.5 0.2 0.2\n\u3000\n3 0.5 0.5 0.2 0.2\n", 3),
+        ],
+    )
+    def test_unmapped_class_id_names_its_line_after_blank_lines(self, text, lineno):
+        with pytest.raises(ParseError, match=f"^a.txt:{lineno}: unmapped class id 3$"):
+            parse_label_file(text, self.CLASS_MAP, self.DIMS, "a.txt")
+
+    def test_malformed_line_is_named_before_an_earlier_unmapped_class_id(self):
+        text = "3 0.5 0.5 0.2 0.2\n0 0.5 0.5 0.2\n"
+        with pytest.raises(ParseError, match="^a.txt:2: expected 5 fields, got 4$"):
+            parse_label_file(text, self.CLASS_MAP, self.DIMS, "a.txt")
 
 
 def test_ignore_region_sidecar():

@@ -795,6 +795,66 @@ class TestCliContract:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {bad}: not UTF-8 text: byte {len(text)}: invalid start byte\n"
 
+    @pytest.mark.parametrize(
+        "bad, old, new, args, fault",
+        [
+            # an image size no float holds (401 digits)
+            (
+                "visdrone_mini/dimensions.txt", "0000001 800", "0000001 " + "9" * 401,
+                ("convert", "visdrone_mini", "out"),
+                "visdrone_mini/dimensions.txt:1: image dims must be within the float range",
+            ),
+            (
+                "micro/manifest.json", '"width": 800', '"width": ' + "9" * 401,
+                ("eval", "micro/manifest.json", "micro/detections"),
+                "micro/manifest.json: invalid manifest: image dims must be within the float range",
+            ),
+            (
+                "micro/manifest.json", '"width": 800', '"width": ' + "9" * 401,
+                ("stats", "micro/manifest.json"),
+                "micro/manifest.json: invalid manifest: image dims must be within the float range",
+            ),
+            # an int past Python's digit limit for str -> int, and nesting past the recursion limit
+            (
+                "micro/manifest.json", '"width": 800', '"width": ' + "9" * 5000,
+                ("stats", "micro/manifest.json"), "micro/manifest.json: invalid manifest JSON: ",
+            ),
+            (
+                "micro/manifest.json", '"images": [', '"images": ' + "[" * 100_000,
+                ("stats", "micro/manifest.json"), "micro/manifest.json: invalid manifest JSON: ",
+            ),
+            (
+                "runs.yaml", "- name: yolov5x", "- name: yolov5x\n    note: " + "1" * 5000,
+                ("compare", "runs.yaml", "--baseline", "yolov5x"), "runs.yaml: invalid YAML: ",
+            ),
+            (
+                "map.yaml", "map:", "drop: " + "[" * 3000 + "]" * 3000 + "\nmap:",
+                ("convert", "visdrone_mini", "out", "--classmap", "map.yaml"),
+                "map.yaml: invalid class map: ",
+            ),
+        ],
+        ids=[
+            "dims-convert", "dims-eval", "dims-stats", "manifest-digits", "manifest-nesting",
+            "run-file-digits", "class-map-nesting",
+        ],
+    )
+    def test_value_python_cannot_hold_names_its_file(
+        self, capsys, tmp_path, monkeypatch, bad, old, new, args, fault
+    ):
+        shutil.copytree(MICRO, tmp_path / "micro")
+        shutil.copytree(FIXTURES / "visdrone_mini", tmp_path / "visdrone_mini")
+        shutil.copy(DATA / "model_benchmark.yaml", tmp_path / "runs.yaml")
+        (tmp_path / "map.yaml").write_text("names: [pedestrian]\nmap: {1: 0}\n")
+        text = (tmp_path / bad).read_text()
+        assert old in text
+        (tmp_path / bad).write_text(text.replace(old, new, 1))
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, *args)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {fault}"), stderr[:200]
+        assert stderr.endswith("\n") and stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestGoldenReports:
     """Every report, in every format, byte for byte as pinned in the golden file.

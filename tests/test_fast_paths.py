@@ -26,7 +26,9 @@ from vrueval.geometry import ImageDims
 
 FIXTURES = fixtures_root()
 SOURCES = sorted(FIXTURES.glob("visdrone_mini/annotations/*.txt"))
-BOX_FILES = sorted(FIXTURES.glob("micro/labels/val/*"))
+BOX_FILES = sorted(FIXTURES.glob("micro/labels/val/*")) + sorted(
+    FIXTURES.glob("micro/detections/*")
+)
 EDITS = ["field", "insert", "duplicate", "delete", "bom"]
 # the source format's separators and the values that its checks turn on
 SOURCE_TOKENS = TOKENS + [",", " ", "\t", "0", "-5", "12", "\n"]
@@ -50,7 +52,7 @@ def checked_visdrone(text, class_map, path):
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            row = _visdrone_row(line, class_map, path, lineno)
+            row = _visdrone_row(line, class_map.targets, path, lineno)
             if row is not None:
                 rows.append(row)
     return rows
@@ -96,7 +98,11 @@ def test_source_fast_loop_matches_the_checker(source, edits, class_map):
         ),
         min_size=1, max_size=3,
     ),
-    lead_classes=st.sampled_from([(1, 2), (1, None), (0, None)]),
+    lead_classes=st.sampled_from([(2, 2), (2, None), (1, 2), (1, None), (0, None)]),
+)
+@example(  # a negative confidence on the fast loop's own line
+    box_file=FIXTURES / "micro/detections/img1.txt", edits=[("field", 0, 1, "-1")],
+    lead_classes=(2, 2),
 )
 def test_box_fast_loop_matches_the_checker(box_file, edits, lead_classes):
     lead, num_classes = lead_classes
