@@ -39,7 +39,6 @@ _EXPORTS = {
     "convert_dataset": "dataset",
     "dataset_stats": "dataset",
     "f1": "metrics",
-    "forgetting": "benchmark",
     "load_manifest": "dataset",
     "mean_ap": "metrics",
     "precision": "metrics",

@@ -18,7 +18,7 @@ as 10, an Arabic-Indic one as 1), which no annotation format writes.
 from __future__ import annotations
 
 import re
-from functools import cache, partial
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CheckedRecord, ParseError, SchemaError, read_input
@@ -57,37 +57,12 @@ _VISDRONE_NAMES = {
 _DECIMAL = re.compile(r"[-+]?(0|[1-9][0-9]*)")
 
 
-def _decimal_or_text(text: str) -> int | str:
-    return int(text) if _DECIMAL.fullmatch(text) else text
-
-
-@cache
-def _class_map_loader():
-    """A YAML 1.1 loader that reads only plain decimal integers as ints.
-
-    YAML 1.1 also reads ``0x4``, ``0o7``, ``010`` (octal), ``1_0`` and ``1:30``
-    (base 60) as ints; this loader keeps them as the strings they are. It is
-    built on first use, so only a class-map read imports PyYAML.
-    """
-    import yaml
-
-    class _ClassMapLoader(yaml.SafeLoader):
-        pass
-
-    _ClassMapLoader.add_constructor(
-        "tag:yaml.org,2002:int",
-        lambda loader, node: _decimal_or_text(loader.construct_scalar(node)),
-    )
-    return _ClassMapLoader
-
-
-def _class_id(value) -> int:
-    """A class-map id: an int read from plain decimal, or a string of one (JSON keys)."""
-    if isinstance(value, str):
-        value = _decimal_or_text(value)
-    if type(value) is not int:  # not a bool, a float, or any other spelling
-        raise ValueError(f"class ids must be plain decimal integers, got {value!r}")
-    return value
+def _class_id(text) -> int:
+    """A class-map id: the text of a plain decimal integer (YAML 1.1 would also
+    read ``0x4``, ``010`` (octal), ``1_0``, ``1:30`` (base 60) and ``true``)."""
+    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+        raise ValueError(f"class ids must be plain decimal integers, got {text!r}")
+    return int(text)
 
 
 class _ClassMap(NamedTuple):
@@ -170,13 +145,15 @@ class ClassMap(CheckedRecord, _ClassMap):
         """Load a map from a YAML/JSON document.
 
         Expected keys: ``names`` (ordered list), ``map`` (source -> target),
-        and optional ``drop`` / ``ignore`` source-id lists.
+        and optional ``drop`` / ``ignore`` source-id lists. PyYAML's base
+        loader keeps every value as the text it is written as, so names are
+        kept verbatim and ids are read by ``_class_id``.
         """
         import yaml
 
         try:
-            doc = yaml.load(read_input(path), Loader=_class_map_loader())
-        except (yaml.YAMLError, ValueError, RecursionError) as exc:  # huge int, deep nesting
+            doc = yaml.load(read_input(path), Loader=yaml.BaseLoader)
+        except (yaml.YAMLError, RecursionError) as exc:  # deep nesting
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
@@ -184,14 +161,17 @@ class ClassMap(CheckedRecord, _ClassMap):
             for key in ("names", "drop", "ignore"):
                 if not isinstance(doc.get(key, []), list):
                     raise TypeError(f"{key} must be a list, got {doc[key]!r}")
+            names = doc["names"]
+            if not all(isinstance(name, str) for name in names):
+                raise TypeError(f"names must be a list of strings, got {names!r}")
             mapping = {_class_id(src): _class_id(dst) for src, dst in doc["map"].items()}
             return cls(
                 mapping=mapping,
-                names=tuple(str(n) for n in doc["names"]),
+                names=tuple(names),
                 drop=frozenset(map(_class_id, doc.get("drop", []))),
                 ignore=frozenset(map(_class_id, doc.get("ignore", []))),
             )
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, SchemaError) as exc:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
 
 

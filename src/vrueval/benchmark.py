@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioReport",
     "computational_time",
     "relative_improvement",
-    "forgetting",
     "compare_models",
     "continual_scenario",
     "load_run_file",
@@ -154,6 +153,9 @@ class ForgettingEntry(CheckedRecord, _ForgettingEntry):
     __slots__ = ()
 
     def __new__(cls, task: str, metric: str, before: float, after: float):
+        for key, value in (("task", task), ("metric", metric)):
+            if not isinstance(value, str):
+                raise SchemaError(f"{key}={value!r} is not a string")
         for key, value in (("before", before), ("after", after)):
             if not _is_number(value):
                 raise SchemaError(f"{key}={value!r} is not a number")
@@ -181,14 +183,6 @@ def relative_improvement(new: float, base: float) -> float:
     if base == 0:
         raise VruEvalError("relative improvement undefined for a zero baseline")
     return 100.0 * (new - base) / base
-
-
-def forgetting(before: float, after: float) -> float:
-    """Signed metric drop; negative values indicate backward transfer."""
-    for label, value in (("before", before), ("after", after)):
-        if not 0.0 <= value <= 1.0:
-            raise VruEvalError(f"{label}={value} outside [0, 1]")
-    return before - after
 
 
 class ImprovementCell(NamedTuple):
@@ -438,8 +432,9 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
         raise SchemaError(f"{path}: 'forgetting' must be a list, got {forgetting_doc!r}")
     for entry in forgetting_doc:
         try:
-            task, metric = str(entry["task"]), str(entry["metric"])
-            entries.append(ForgettingEntry(task, metric, entry["before"], entry["after"]))
+            entries.append(
+                ForgettingEntry(entry["task"], entry["metric"], entry["before"], entry["after"])
+            )
         except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: invalid forgetting entry {entry!r}: {exc}") from exc
     return records, entries

@@ -89,6 +89,8 @@ class DatasetManifest(CheckedRecord, _DatasetManifest):
     def __new__(
         cls, split: str, class_names: tuple[str, ...], images: tuple[ManifestImage, ...], root: Path
     ):
+        if not isinstance(split, str):
+            raise SchemaError(f"split must be a string, got {split!r}")
         if len(class_names) != len(set(class_names)):
             raise SchemaError(f"duplicate class names: {class_names}")
         seen = set()

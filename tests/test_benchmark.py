@@ -14,7 +14,6 @@ from vrueval.benchmark import (
     consistency_notes,
     continual_scenario,
     f1_formula_note,
-    forgetting,
     load_run_file,
     map_mean_note,
     record_from_report,
@@ -108,23 +107,27 @@ class TestRelativeImprovement:
             relative_improvement(0.5, 0.0)
 
 
+def drop(before, after):
+    return ForgettingEntry("task1", "map50", before, after).drop
+
+
 class TestForgetting:
     def test_no_change(self):
-        assert forgetting(0.54, 0.54) == 0.0
+        assert drop(0.54, 0.54) == 0.0
 
     def test_drop(self):
-        assert forgetting(0.54, 0.30) == pytest.approx(0.24)
+        assert drop(0.54, 0.30) == pytest.approx(0.24)
 
     def test_backward_transfer_negative(self):
-        assert forgetting(0.30, 0.54) == pytest.approx(-0.24)
+        assert drop(0.30, 0.54) == pytest.approx(-0.24)
 
     def test_range_check(self):
         with pytest.raises(VruEvalError):
-            forgetting(1.2, 0.5)
+            drop(1.2, 0.5)
 
     def test_linear_in_each_argument(self):
-        assert forgetting(0.8, 0.2) == forgetting(0.8, 0.0) - 0.2
-        assert forgetting(0.8, 0.2) == forgetting(0.0, 0.2) + 0.8
+        assert drop(0.8, 0.2) == drop(0.8, 0.0) - 0.2
+        assert drop(0.8, 0.2) == drop(0.0, 0.2) + 0.8
 
     def test_entry_drop(self):
         entry = ForgettingEntry("task1", "map50", 0.54, 0.30)

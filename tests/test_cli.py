@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 
 from helpers import fixtures_root
 from test_annotations import BOX_ERRORS, LINE_PARSERS
@@ -246,7 +247,7 @@ class TestConvertCommand:
         [
             ("names: abcd", "names", "'abcd'"),
             ("drop: '45'", "drop", "'45'"),
-            ("ignore: 0", "ignore", "0"),
+            ("ignore: 0", "ignore", "'0'"),
         ],
     )
     def test_classmap_lists_must_be_lists(self, capsys, tmp_path, line, key, shown):
@@ -267,8 +268,8 @@ class TestConvertCommand:
             ("map: {1: 0}\ndrop: [0x4]", "'0x4'"),
             ("map: {1: 0}\ndrop: [010]", "'010'"),
             ("map: {1: 0}\ndrop: [1:30]", "'1:30'"),
-            ("map: {1: 0}\nignore: [true]", "True"),
-            ("map: {1: 0}\ndrop: [4.7]", "4.7"),
+            ("map: {1: 0}\nignore: [true]", "'true'"),
+            ("map: {1: 0}\ndrop: [4.7]", "'4.7'"),
             ("map: {1: 0x0}", "'0x0'"),
         ],
     )
@@ -284,6 +285,50 @@ class TestConvertCommand:
             f"got {shown}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, fault",
+        [
+            ("names: [a, a]\nmap: {1: 0, 2: 1}", "duplicate target class names: ('a', 'a')"),
+            ("names: []\nmap: {}", "class map must define at least one target class"),
+            (
+                "names: [a]\nmap: {1: 0}\ndrop: [1]",
+                "a source category may appear in only one of map/drop/ignore",
+            ),
+            (
+                "names: [a, b]\nmap: {1: 0, 2: 2}",
+                "target class ids must be contiguous 0..1, got [0, 2]",
+            ),
+            (
+                "names: [a, [b]]\nmap: {1: 0, 2: 1}",
+                "names must be a list of strings, got ['a', ['b']]",
+            ),
+        ],
+        ids=["duplicate-names", "no-names", "map-and-drop", "non-contiguous", "nested-name"],
+    )
+    def test_classmap_schema_fault_names_the_map(self, capsys, tmp_path, body, fault):
+        cm = tmp_path / "map.yaml"
+        cm.write_text(f"{body}\n")
+        code, stdout, stderr = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cm}: invalid class map: {fault}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_classmap_names_are_kept_as_written(self, capsys, tmp_path):
+        cm = tmp_path / "map.yaml"
+        cm.write_text(
+            "names: [pedestrian, 'no', off, 1.50, null]\nmap: {1: 0, 2: 1, 3: 2, 7: 3, 0: 4}\n"
+            "drop: [4, 5, 6, 8, 9, 10, 11]\n"
+        )
+        out = tmp_path / "out"
+        code, stdout, _ = run(capsys, "convert", FIXTURES / "visdrone_mini", out, "--classmap", cm)
+        assert code == 0
+        assert "classes: pedestrian, no, off, 1.50, null" in stdout
+        names = ["pedestrian", "no", "off", "1.50", "null"]
+        assert yaml.safe_load((out / "dataset.yaml").read_text())["names"] == names
+        assert json.loads((out / "manifest.json").read_text())["class_names"] == names
 
     def test_classmap_ids_may_be_decimal_strings(self, capsys, tmp_path):
         # JSON object keys are strings: a quoted decimal is an id too
@@ -506,6 +551,7 @@ class TestEvalCommand:
             ),
             # 7 and "7" would pass the duplicate check and read one label file
             ('"image_id": "img2"', '"image_id": 7', "image_id must be a string, got 7"),
+            ('"split": "val"', '"split": [1, 2]', "split must be a string, got [1, 2]"),
         ],
     )
     def test_bad_manifest_value_names_the_manifest(
@@ -619,6 +665,19 @@ class TestCompareCommand:
         code, stdout, stderr = run(capsys, "--format", fmt, "compare", path, *mode)
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {path}: run 'a': {fault}\n"
+
+    def test_forgetting_entry_text_must_be_a_string(self, capsys, tmp_path):
+        path = tmp_path / "runs.yaml"
+        path.write_text(
+            "runs:\n  - name: a\n  - name: b\n"
+            "forgetting:\n  - {task: on, metric: map50, before: 0.5, after: 0.4}\n"
+        )
+        code, stdout, stderr = run(capsys, "compare", path, "--scenario")
+        assert (code, stdout) == (2, "")
+        entry = {"task": True, "metric": "map50", "before": 0.5, "after": 0.4}
+        assert stderr == (
+            f"error: {path}: invalid forgetting entry {entry!r}: task=True is not a string\n"
+        )
 
     @pytest.mark.parametrize("option", ["--frames", "--epsilon"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -4,9 +4,12 @@ Each example copies ``tests/fixtures/micro``, mutates one of its files with a
 hostile token or edit, and runs ``stats`` and ``eval`` (table and structured)
 in-process. The ``compare`` probe gives one field of a shipped run file, or an
 added extra field, a hostile YAML value, and runs both modes in both outputs.
-Every run must exit 0 or 2, and an exit 2 must print an ``error: `` line and
-never ``internal error``. The searches are derandomized and bounded, so they
-guard against regressions rather than hunting for new bugs.
+The class-map probe gives one value of README's example class map a hostile
+YAML value, or deletes one of its lines, and converts ``visdrone_mini`` with
+it; reading the map must succeed or name its path. Every run must exit 0 or
+2, and an exit 2 must print an ``error: `` line and never ``internal error``.
+The searches are derandomized and bounded, so they guard against
+regressions rather than hunting for new bugs.
 """
 
 import contextlib
@@ -19,10 +22,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import fixtures_root
+from vrueval.annotations import ClassMap
 from vrueval.cli import main
+from vrueval.errors import SchemaError
 
 MICRO = fixtures_root() / "micro"
-DATA = Path(__file__).parents[1] / "data"
+ROOT = Path(__file__).parents[1]
+DATA = ROOT / "data"
 FILES = sorted(p.relative_to(MICRO).as_posix() for p in MICRO.rglob("*") if p.is_file())
 TOKENS = [
     "nan", "inf", "-inf", "1e309", "-1e309", "1e-320", "1_0", "0.5_0", "+1", "-0.0", "-1",
@@ -132,3 +138,46 @@ def test_mutated_run_file_exits_zero_or_two_with_an_error_line(mutated):
         for mode in (("--baseline", RUN_FILES[name]), ("--scenario",)):
             for fmt in ("aligned", "structured"):
                 check_exit(("--format", fmt, "compare", path, *mode))
+
+
+README_CLASS_MAP = re.search(
+    r"```yaml\n(names: .*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S
+).group(1)
+CLASS_MAP_LINES = README_CLASS_MAP.splitlines(keepends=True)
+# (line, start, end) of each value: a name, a map key or value, a drop or ignore item
+CLASS_MAP_SLOTS = [
+    (i, m.start(), m.end())
+    for i, line in enumerate(CLASS_MAP_LINES)
+    for m in re.compile(r"\w+").finditer(line, line.index(": ") + 2)
+]
+CLASS_MAP_VALUES = [
+    "x", "'1'", "true", "off", "null", "1.5", "0x4", "1_0", "-1", "5", "[1, 2]", "{a: 1}", "<<",
+    "",
+]
+
+
+@st.composite
+def mutated_class_maps(draw):
+    """README's example class map with one value made hostile, or one line deleted."""
+    lines = list(CLASS_MAP_LINES)
+    value = draw(st.sampled_from(CLASS_MAP_VALUES + [None]))
+    if value is None:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    else:
+        i, start, end = draw(st.sampled_from(CLASS_MAP_SLOTS))
+        lines[i] = lines[i][:start] + value + lines[i][end:]
+    return "".join(lines)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(text=mutated_class_maps())
+def test_mutated_class_map_names_its_path_or_converts(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.yaml"
+        path.write_text(text, encoding="utf-8")
+        try:
+            ClassMap.from_file(str(path))
+        except SchemaError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        source, out = fixtures_root() / "visdrone_mini", Path(tmp) / "out"
+        check_exit(("convert", source, out, "--classmap", path))

@@ -69,6 +69,20 @@ def test_a_forgetting_entry_built_in_code_is_checked(before, after, error):
         ForgettingEntry("t", "map50", before, after)
 
 
+@pytest.mark.parametrize(
+    "task, metric, error",
+    [
+        (True, "map50", "task=True is not a string"),
+        (["x", "y"], "map50", r"task=\['x', 'y'\] is not a string"),
+        ("t", 1.5, "metric=1.5 is not a string"),
+        ("t", None, "metric=None is not a string"),
+    ],
+)
+def test_a_forgetting_entry_text_is_a_string(task, metric, error):
+    with pytest.raises(SchemaError, match=error):
+        ForgettingEntry(task, metric, 0.5, 0.4)
+
+
 def test_a_forgetting_entry_holds_floats():
     entry = ForgettingEntry("t", "map50", 1, 0)
     assert (entry.before, entry.after) == (1.0, 0.0)
