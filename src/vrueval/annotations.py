@@ -151,9 +151,19 @@ class ClassMap(CheckedRecord, _ClassMap):
         """
         import yaml
 
+        class Loader(yaml.BaseLoader):  # a key written twice in one mapping is an error
+            def construct_mapping(self, node, deep=False):
+                mapping = super().construct_mapping(node, deep)  # rejects unhashable keys
+                first = {}
+                for key, _ in node.value:
+                    if first.setdefault(key.value, key) is not key:
+                        line = key.start_mark.line + 1
+                        raise ValueError(f"key {key.value!r} repeats on line {line}")
+                return mapping
+
         try:
-            doc = yaml.load(read_input(path), Loader=yaml.BaseLoader)
-        except (yaml.YAMLError, RecursionError) as exc:  # deep nesting
+            doc = yaml.load(read_input(path), Loader=Loader)
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a repeat
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
@@ -161,17 +171,24 @@ class ClassMap(CheckedRecord, _ClassMap):
             for key in ("names", "drop", "ignore"):
                 if not isinstance(doc.get(key, []), list):
                     raise TypeError(f"{key} must be a list, got {doc[key]!r}")
+            if not isinstance(doc["map"], dict):
+                raise TypeError(f"map must be a mapping, got {doc['map']!r}")
             names = doc["names"]
             if not all(isinstance(name, str) for name in names):
                 raise TypeError(f"names must be a list of strings, got {names!r}")
-            mapping = {_class_id(src): _class_id(dst) for src, dst in doc["map"].items()}
+            mapping = {}
+            for src, dst in doc["map"].items():
+                source = _class_id(src)
+                if source in mapping:
+                    raise ValueError(f"map gives source id {source} twice, the second as {src!r}")
+                mapping[source] = _class_id(dst)
             return cls(
                 mapping=mapping,
                 names=tuple(names),
                 drop=frozenset(map(_class_id, doc.get("drop", []))),
                 ignore=frozenset(map(_class_id, doc.get("ignore", []))),
             )
-        except (TypeError, ValueError, AttributeError, SchemaError) as exc:
+        except (TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}: invalid class map: {exc}") from exc
 
 

@@ -215,11 +215,11 @@ def read_dimension_index(path: Path) -> dict[str, ImageDims]:
     return dims
 
 
-def _label_lines(rows: list[tuple], dims: ImageDims) -> tuple[str, str]:
-    """Render ``(class_id, x_min, y_min, x_max, y_max)`` rows to (label text,
-    ignore sidecar text); ignore regions are the rows under ``IGNORE_CLASS_ID``."""
+def _label_lines(rows: list[tuple], regions: list[tuple], dims: ImageDims) -> tuple[str, str]:
+    """(label text, ignore sidecar text) of ``(class_id, x_min, y_min, x_max, y_max)``
+    rows; the sidecar holds the corner ``regions``, then the rows under ``IGNORE_CLASS_ID``."""
     label_lines = []
-    ignore_lines = []
+    ignore_lines = ["%.6f %.6f %.6f %.6f\n" % normalize(*corners, dims) for corners in regions]
     for class_id, x_min, y_min, x_max, y_max in rows:
         coords = "%.6f %.6f %.6f %.6f\n" % normalize(x_min, y_min, x_max, y_max, dims)
         if class_id == IGNORE_CLASS_ID:
@@ -353,17 +353,16 @@ def convert_dataset(
             )
         dims = dim_index[image_id]
         ann_path = ann_dir / f"{image_id}.txt"
-        if source_format == "visdrone":
-            if not ann_path.is_file():
-                held.append(f"missing annotation for {image_id!r}; writing empty label file")
-                rows = []
-            else:
-                rows = parse_visdrone_file(read_input(ann_path), class_map, str(ann_path))
-        else:  # the sidecar's regions come before the class map's ignores
-            labels = parse_label_file(read_input(ann_path), class_map, dims, str(ann_path))
-            rows = _sidecar_rows(ann_path.with_suffix(".ignore"), dims) + labels
+        rows, regions = [], []
+        if source_format == "yolo":
+            rows = parse_label_file(read_input(ann_path), class_map, dims, str(ann_path))
+            regions = _sidecar_regions(ann_path.with_suffix(".ignore"), dims)
+        elif ann_path.is_file():
+            rows = parse_visdrone_file(read_input(ann_path), class_map, str(ann_path))
+        else:
+            held.append(f"missing annotation for {image_id!r}; writing empty label file")
         try:
-            label_text, ignore_text = _label_lines(rows, dims)
+            label_text, ignore_text = _label_lines(rows, regions, dims)
         except ConversionError as exc:
             raise ConversionError(f"{ann_path}: {exc}") from None
         rendered.append((image_id, dims, label_text, ignore_text))
@@ -417,26 +416,25 @@ def convert_dataset(
 _NO_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-def _sidecar_rows(path: Path, dims: ImageDims) -> list[tuple]:
-    """Rows of an ignore-region sidecar under ``IGNORE_CLASS_ID``; none when it is absent."""
+def _sidecar_regions(path: Path, dims: ImageDims) -> list[tuple]:
+    """Corner rows of an ignore-region sidecar; none when it is absent."""
     try:
         text = read_input(path)
     except _NO_FILE:
         return []
-    regions = parse_box_rows(text, 0, dims, None, str(path))
-    return [(IGNORE_CLASS_ID, *corners) for corners in regions]
+    return parse_box_rows(text, 0, dims, None, str(path))
 
 
-def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> list[tuple]:
-    """``(class_id, x_min, y_min, x_max, y_max)`` rows of one manifest image: its
-    labels in file order, then its ignore-sidecar regions under ``IGNORE_CLASS_ID``."""
+def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> tuple[list, list]:
+    """``(labels, regions)`` of one manifest image: its ``(class_id, x_min, y_min,
+    x_max, y_max)`` label rows and its ignore-sidecar corner rows, in file order."""
     label_path = manifest.label_file(image)
     try:
         text = read_input(label_path)
     except _NO_FILE:
         raise ParseError("label file not found", str(label_path)) from None
-    rows = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
-    return rows + _sidecar_rows(manifest.ignore_file(image), image.dims)
+    labels = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
+    return labels, _sidecar_regions(manifest.ignore_file(image), image.dims)
 
 
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
@@ -445,16 +443,13 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
     instances = [0] * k
     images = [0] * k
     for image in manifest.images:
-        counts = Counter([row[0] for row in ground_truth_rows(manifest, image)])
-        counts.pop(IGNORE_CLASS_ID, None)
-        for class_id, count in counts.items():
+        labels, _ = ground_truth_rows(manifest, image)
+        for class_id, count in Counter([row[0] for row in labels]).items():
             instances[class_id] += count
             images[class_id] += 1
     return DatasetStats(
         split=manifest.split,
         class_names=manifest.class_names,
-        per_class=tuple(
-            ClassStats(images=images[i], instances=instances[i]) for i in range(k)
-        ),
+        per_class=tuple(map(ClassStats, images, instances)),
         total_images=len(manifest.images),
     )

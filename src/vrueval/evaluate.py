@@ -135,9 +135,9 @@ def evaluate(
 
     def images():
         for img in manifest.images:
-            truths = ground_truth_rows(manifest, img)  # an image's labels are read first
-            det_path = detections_dir / f"{img.image_id}.txt"
-            yield truths, parse_detection_rows(read_input(det_path), img.dims, k, str(det_path))
+            labels, regions = ground_truth_rows(manifest, img)  # read before the detections
+            path = detections_dir / f"{img.image_id}.txt"
+            yield labels, regions, parse_detection_rows(read_input(path), img.dims, k, str(path))
 
     curves = sweep_images(images(), k, iou_thresh)
     aps: dict[int, float | None] = {}

@@ -46,20 +46,20 @@ def check_iou_thresh(iou_thresh: float) -> None:
 
 
 def match_image(
-    ranked: list[Row], candidates: list[Corners], regions: list[Corners], iou_thresh: float
+    ranked: list[Row], candidates: list[tuple], regions: list[Corners], iou_thresh: float
 ) -> list[str]:
     """Fates of one image's detections of one class, given in rank order.
 
-    Only the corners of the ``ranked`` rows are read. ``candidates`` are the
-    image's scorable ground truths of the class in index order; each one a
-    detection claims is removed from the list. ``regions`` are the image's
-    ignore regions.
+    Only the corners of the ``ranked`` and ``candidates`` rows are read.
+    ``candidates`` are the image's ground-truth rows ``(class_id, x_min, y_min,
+    x_max, y_max)`` of the class in index order; each one a detection claims is
+    removed from the list. ``regions`` are the image's ignore-region corners.
     """
     fates = []
     for _, _, x_min, y_min, x_max, y_max in ranked:
         best_iou = 0.0
         best = -1
-        for pos, (gx_min, gy_min, gx_max, gy_max) in enumerate(candidates):
+        for pos, (_, gx_min, gy_min, gx_max, gy_max) in enumerate(candidates):
             if gx_min >= x_max or gx_max <= x_min or gy_min >= y_max or gy_max <= y_min:
                 continue  # disjoint or touching: IoU 0.0
             overlap = corner_iou(x_min, y_min, x_max, y_max, gx_min, gy_min, gx_max, gy_max)

@@ -15,7 +15,6 @@ from collections.abc import Iterable
 from operator import itemgetter, neg
 from typing import NamedTuple
 
-from .annotations import IGNORE_CLASS_ID
 from .errors import CheckedRecord, ContractError, VruEvalError
 from .matching import FP, IGNORED, TP, check_iou_thresh, match_image, rank
 
@@ -91,56 +90,43 @@ class PRCurve(NamedTuple):
 def sweep_images(images: Iterable, num_classes: int, iou_thresh: float) -> list[PRCurve]:
     """One ``PRCurve`` per class id below ``num_classes``; each image is matched as it comes.
 
-    ``images`` yields ``(truths, detections)`` per image: ground-truth rows
-    ``(class_id, x_min, y_min, x_max, y_max)``, ignore regions under
-    ``IGNORE_CLASS_ID``, and detection rows ``(class_id, confidence, x_min,
-    y_min, x_max, y_max)``. Across images only each detection's confidence
-    and fate are kept. Tied confidences rank in feed order, image after image.
-    A class id outside ``[0, num_classes)``, other than a ground truth's
-    ``IGNORE_CLASS_ID``, raises ``ContractError``.
+    ``images`` yields ``(truths, regions, detections)`` per image: ground-truth
+    rows ``(class_id, x_min, y_min, x_max, y_max)``, ignore regions ``(x_min,
+    y_min, x_max, y_max)``, and detection rows ``(class_id, confidence, x_min,
+    y_min, x_max, y_max)``. Across images only each detection's confidence and
+    fate are kept. Tied confidences rank in feed order, image after image. A
+    class id outside ``[0, num_classes)`` raises ``ContractError`` naming the id
+    of the first such row: ground truths in row order, then detections in rank
+    order.
     """
     check_iou_thresh(iou_thresh)
-    k = num_classes
-    confidences: list[list[float]] = [[] for _ in range(k)]
-    fates: list[list[str]] = [[] for _ in range(k)]
-    n_positives = [0] * k
-    n_images = [0] * k
-    for position, (truths, detections) in enumerate(images):
-        _check_class_ids(truths, IGNORE_CLASS_ID, k, "ground-truth", position)
-        _check_class_ids(detections, 0, k, "detection", position)
-        scorable: list[list] = [[] for _ in range(k)]
-        regions = []
-        for row in truths:
-            (regions if row[0] == IGNORE_CLASS_ID else scorable[row[0]]).append(row[1:])
-        ranked: list[list] = [[] for _ in range(k)]
-        # a stable sort: confidence ties keep row order
-        for row in sorted(detections, key=itemgetter(1), reverse=True):
-            ranked[row[0]].append(row)
-        for class_id, candidates in enumerate(scorable):
+    classes = range(num_classes)
+    confidences: list[list[float]] = [[] for _ in classes]
+    fates: list[list[str]] = [[] for _ in classes]
+    n_positives = [0] * num_classes
+    n_images = [0] * num_classes
+    for position, (truths, regions, detections) in enumerate(images):
+        scorable: dict[int, list] = {c: [] for c in classes}
+        ranked: dict[int, list] = {c: [] for c in classes}
+        kind = "ground-truth"
+        try:
+            for row in truths:
+                scorable[row[0]].append(row)
+            kind = "detection"
+            # a stable sort: confidence ties keep row order
+            for row in sorted(detections, key=itemgetter(1), reverse=True):
+                ranked[row[0]].append(row)
+        except KeyError as exc:
+            fault = f"{kind} class id {exc.args[0]} is not in [0, {num_classes})"
+            raise ContractError(f"image {position} of the feed: {fault}") from None
+        for class_id, candidates in scorable.items():
             if candidates:
                 n_positives[class_id] += len(candidates)
                 n_images[class_id] += 1
             confidences[class_id] += map(itemgetter(1), ranked[class_id])
             fates[class_id] += match_image(ranked[class_id], candidates, regions, iou_thresh)
-    merged = [rank(confidences[c], fates[c]) for c in range(k)]
+    merged = [rank(confidences[c], fates[c]) for c in classes]
     return [PRCurve(c, f, n_positives[c], conf, n_images[c]) for c, (f, conf) in enumerate(merged)]
-
-
-def _check_class_ids(rows, lowest: int, k: int, kind: str, position: int) -> None:
-    """Raise ``ContractError`` unless every row's class id lies in ``[lowest, k)``.
-
-    ``lowest`` is 0, or ``IGNORE_CLASS_ID`` (-1) where ignore regions may come.
-    """
-    if not rows:
-        return
-    ids = list(map(itemgetter(0), rows))
-    low, high = min(ids), max(ids)
-    if low < lowest or high >= k:
-        allowed = f"[0, {k})" + (" or IGNORE_CLASS_ID" if lowest < 0 else "")
-        raise ContractError(
-            f"image {position} of the feed: {kind} class id "
-            f"{low if low < lowest else high} is not in {allowed}"
-        )
 
 
 def average_precision(curve: PRCurve) -> float | None:

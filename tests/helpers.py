@@ -12,7 +12,7 @@ import os
 import random
 from pathlib import Path
 
-from vrueval.annotations import IGNORE_CLASS_ID, parse_detection_rows
+from vrueval.annotations import parse_detection_rows
 from vrueval.dataset import ground_truth_rows
 from vrueval.errors import read_input
 
@@ -32,16 +32,19 @@ def det(image_id="img", class_id=0, confidence=0.9, box=(0, 0, 10, 10)):
     return {"image_id": image_id, "class_id": class_id, "confidence": confidence, "box": box}
 
 
-def image_rows(gts: list[dict], dets: list[dict]) -> list[tuple[list, list]]:
-    """``(truths, detections)`` rows per image, images in order of first appearance
-    in ``gts`` then ``dets``; an ignore record's row is under ``IGNORE_CLASS_ID``."""
-    images: dict[str, tuple[list, list]] = {}
+def image_rows(gts: list[dict], dets: list[dict]) -> list[tuple[list, list, list]]:
+    """``(truths, regions, detections)`` rows per image, images in order of first
+    appearance in ``gts`` then ``dets``; an ignore record's row is its box alone."""
+    images: dict[str, tuple[list, list, list]] = {}
     for g in gts:
-        class_id = IGNORE_CLASS_ID if g["ignore"] else g["class_id"]
-        images.setdefault(g["image_id"], ([], []))[0].append((class_id, *g["box"]))
+        truths, regions, _ = images.setdefault(g["image_id"], ([], [], []))
+        if g["ignore"]:
+            regions.append(g["box"])
+        else:
+            truths.append((g["class_id"], *g["box"]))
     for d in dets:
         row = (d["class_id"], d["confidence"], *d["box"])
-        images.setdefault(d["image_id"], ([], []))[1].append(row)
+        images.setdefault(d["image_id"], ([], [], []))[2].append(row)
     return list(images.values())
 
 
@@ -50,8 +53,9 @@ def read_records(manifest, detections_dir: Path) -> tuple[list, list]:
     num_classes = len(manifest.class_names)
     gts, dets = [], []
     for img in manifest.images:
-        for class_id, *box in ground_truth_rows(manifest, img):
-            gts.append(gt(img.image_id, class_id, box, ignore=class_id == IGNORE_CLASS_ID))
+        labels, regions = ground_truth_rows(manifest, img)
+        gts += [gt(img.image_id, class_id, box) for class_id, *box in labels]
+        gts += [gt(img.image_id, -1, box, ignore=True) for box in regions]
         text = read_input(detections_dir / f"{img.image_id}.txt")
         for class_id, confidence, *box in parse_detection_rows(text, img.dims, num_classes):
             dets.append(det(img.image_id, class_id, confidence, box))

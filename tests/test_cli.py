@@ -252,7 +252,8 @@ class TestConvertCommand:
     )
     def test_classmap_lists_must_be_lists(self, capsys, tmp_path, line, key, shown):
         cm = tmp_path / "map.yaml"
-        cm.write_text(f"names: [pedestrian]\nmap: {{1: 0}}\n{line}\n")
+        names = "" if key == "names" else "names: [pedestrian]\n"  # a key is given once
+        cm.write_text(f"{names}map: {{1: 0}}\n{line}\n")
         code, stdout, stderr = run(
             capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
         )
@@ -303,8 +304,19 @@ class TestConvertCommand:
                 "names: [a, [b]]\nmap: {1: 0, 2: 1}",
                 "names must be a list of strings, got ['a', ['b']]",
             ),
+            ("names: [a, b]\nmap: {1: 0, 2: 1, 3: 1, 2: 0}", "key '2' repeats on line 2"),
+            (
+                "names: [a, b]\nmap: {1: 0, 2: 1, 3: 1, +3: 0}",
+                "map gives source id 3 twice, the second as '+3'",
+            ),
+            ("names: [a, b]\nmap: {1: 0, 2: 1}\nnames: [b, a]", "key 'names' repeats on line 3"),
+            ("names: [a]\nmap: [1, 2]", "map must be a mapping, got ['1', '2']"),
+            ("names: [a]\nmap:", "map must be a mapping, got ''"),
         ],
-        ids=["duplicate-names", "no-names", "map-and-drop", "non-contiguous", "nested-name"],
+        ids=[
+            "duplicate-names", "no-names", "map-and-drop", "non-contiguous", "nested-name",
+            "repeated-map-key", "two-spellings", "repeated-names", "map-list", "map-empty",
+        ],
     )
     def test_classmap_schema_fault_names_the_map(self, capsys, tmp_path, body, fault):
         cm = tmp_path / "map.yaml"

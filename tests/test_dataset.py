@@ -495,16 +495,17 @@ class TestGroundTruthFiles:
         (tmp_path / "a.ignore").write_text("0.25 0.25 0.1 0.1\n")
         (tmp_path / "a.lbl.ignore").write_text("not read\n")
         manifest = load_manifest(self.manifest(tmp_path, "a.lbl"))
-        assert ground_truth_rows(manifest, manifest.images[0]) == [
-            (0, 40.0, 40.0, 60.0, 60.0),
-            (-1, 20.0, 20.0, 30.0, 30.0),
-        ]
+        assert ground_truth_rows(manifest, manifest.images[0]) == (
+            [(0, 40.0, 40.0, 60.0, 60.0)],
+            [(20.0, 20.0, 30.0, 30.0)],
+        )
 
     def test_directory_at_the_sidecar_path_adds_no_regions(self, tmp_path):
         (tmp_path / "a.txt").write_text("0 0.5 0.5 0.2 0.2\n")
         (tmp_path / "a.ignore").mkdir()
         manifest = load_manifest(self.manifest(tmp_path, "a.txt"))
-        assert ground_truth_rows(manifest, manifest.images[0]) == [(0, 40.0, 40.0, 60.0, 60.0)]
+        labels, regions = ground_truth_rows(manifest, manifest.images[0])
+        assert (labels, regions) == ([(0, 40.0, 40.0, 60.0, 60.0)], [])
 
 
 def test_dimension_index_rejects_duplicates(tmp_path):

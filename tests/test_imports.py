@@ -28,11 +28,11 @@ VRU_MAP = (
 )
 
 
-def loaded_after(code: str, cwd: Path) -> list[str]:
-    """Which of LAZY a fresh interpreter in ``cwd`` has imported after running ``code``."""
+def loaded_after(code: str, cwd: Path, names: tuple[str, ...] = LAZY) -> list[str]:
+    """Which of ``names`` a fresh interpreter in ``cwd`` has imported after running ``code``."""
     probe = (
         f"import json, sys\n{code}\n"
-        f"print(json.dumps([name for name in {LAZY!r} if name in sys.modules]))\n"
+        f"print(json.dumps([name for name in {names!r} if name in sys.modules]))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -78,6 +78,11 @@ def cli_run(*args) -> str:
 )
 def test_fresh_process_imports_only_what_it_runs(tmp_path, code, expected):
     assert loaded_after(code, tmp_path) == expected
+
+
+def test_metrics_does_not_load_the_annotation_readers(tmp_path):
+    # ignore regions reach sweep_images as a list of their own, with no class id to import
+    assert loaded_after("import vrueval.metrics", tmp_path, ("vrueval.annotations",)) == []
 
 
 def test_every_public_name_resolves():

@@ -182,31 +182,41 @@ class TestPRCurve:
 
 
 class TestSweepClassIds:
-    """Ground truth may carry ``[0, k)`` or IGNORE_CLASS_ID; a detection only ``[0, k)``."""
+    """A ground truth or a detection carries a class id in ``[0, k)``; ignore
+    regions come in their own list and carry none."""
 
     BOX = (0.0, 0.0, 10.0, 10.0)
 
     @pytest.mark.parametrize(
         "truth_id, det_id, fault",
         [
-            (-2, 0, "ground-truth class id -2 is not in [0, 2) or IGNORE_CLASS_ID"),
-            (2, 0, "ground-truth class id 2 is not in [0, 2) or IGNORE_CLASS_ID"),
+            (-2, 0, "ground-truth class id -2 is not in [0, 2)"),
+            (-1, 0, "ground-truth class id -1 is not in [0, 2)"),
+            (2, 0, "ground-truth class id 2 is not in [0, 2)"),
             (0, 2, "detection class id 2 is not in [0, 2)"),
             (0, -1, "detection class id -1 is not in [0, 2)"),
         ],
-        ids=["truth-minus-two", "truth-num-classes", "detection-num-classes", "detection-ignore"],
+        ids=[
+            "truth-minus-two", "truth-ignore", "truth-num-classes", "detection-num-classes",
+            "detection-ignore",
+        ],
     )
     def test_out_of_range_class_id_is_a_contract_error(self, truth_id, det_id, fault):
         images = [
-            ([(0, *self.BOX)], [(1, 0.5, *self.BOX)]),
-            ([(truth_id, *self.BOX)], [(det_id, 0.9, *self.BOX)]),
+            ([(0, *self.BOX)], [], [(1, 0.5, *self.BOX)]),
+            ([(truth_id, *self.BOX)], [], [(det_id, 0.9, *self.BOX)]),
         ]
         with pytest.raises(ContractError) as info:
             sweep_images(images, 2, 0.5)
         assert str(info.value) == f"image 1 of the feed: {fault}"
 
+    def test_first_bad_row_is_named(self):
+        truths = [(0, *self.BOX), (5, *self.BOX), (-3, *self.BOX)]
+        with pytest.raises(ContractError, match="ground-truth class id 5 is not in"):
+            sweep_images([(truths, [], [(7, 0.9, *self.BOX)])], 2, 0.5)
+
     def test_ignore_regions_and_every_class_accepted(self):
-        images = [([(-1, *self.BOX), (0, *self.BOX), (1, *self.BOX)], [(1, 0.9, *self.BOX)])]
+        images = [([(0, *self.BOX), (1, *self.BOX)], [self.BOX], [(1, 0.9, *self.BOX)])]
         assert [c.n_positives for c in sweep_images(images, 2, 0.5)] == [1, 1]
 
 
