@@ -21,7 +21,7 @@ import re
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CheckedRecord, ParseError, SchemaError, read_input
+from .errors import CheckedRecord, ParseError, SchemaError, read_yaml
 from .geometry import ImageDims, check_normalized, denormalize
 
 __all__ = [
@@ -149,22 +149,7 @@ class ClassMap(CheckedRecord, _ClassMap):
         loader keeps every value as the text it is written as, so names are
         kept verbatim and ids are read by ``_class_id``.
         """
-        import yaml
-
-        class Loader(yaml.BaseLoader):  # a key written twice in one mapping is an error
-            def construct_mapping(self, node, deep=False):
-                mapping = super().construct_mapping(node, deep)  # rejects unhashable keys
-                first = {}
-                for key, _ in node.value:
-                    if first.setdefault(key.value, key) is not key:
-                        line = key.start_mark.line + 1
-                        raise ValueError(f"key {key.value!r} repeats on line {line}")
-                return mapping
-
-        try:
-            doc = yaml.load(read_input(path), Loader=Loader)
-        except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a repeat
-            raise SchemaError(f"{path}: invalid class map: {exc}") from exc
+        doc = read_yaml(path, "class map", typed=False)
         if not isinstance(doc, dict) or "names" not in doc or "map" not in doc:
             raise SchemaError(f"{path}: class map needs 'names' and 'map' keys")
         try:

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import CheckedRecord, SchemaError, VruEvalError, read_input
+from .errors import CheckedRecord, SchemaError, VruEvalError, read_yaml
 from .evaluate import EvalReport
 from .metrics import f1 as f1_score
 
@@ -36,7 +36,6 @@ __all__ = [
     "compare_models",
     "continual_scenario",
     "load_run_file",
-    "save_run_file",
     "record_from_report",
     "f1_formula_note",
     "map_mean_note",
@@ -407,13 +406,8 @@ def continual_scenario(
 
 def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[ForgettingEntry]]:
     """Read run records (and optional forgetting entries) from a YAML file."""
-    import yaml
-
     path = Path(path)
-    try:
-        doc = yaml.safe_load(read_input(path))
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # huge int, deep nesting
-        raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
+    doc = read_yaml(path, "YAML", typed=True)
     if not isinstance(doc, dict) or "runs" not in doc or not isinstance(doc["runs"], list):
         raise SchemaError(f"{path}: expected a mapping with a 'runs' list")
     records = []
@@ -440,20 +434,6 @@ def load_run_file(path: str | Path) -> tuple[list[ModelRunRecord], list[Forgetti
     return records, entries
 
 
-def save_run_file(
-    path: str | Path,
-    records: list[ModelRunRecord],
-    forgetting_entries: list[ForgettingEntry] | None = None,
-) -> None:
-    """Write records back to YAML, preserving unknown fields."""
-    import yaml
-
-    doc: dict = {"runs": [rec.to_dict() for rec in records]}
-    if forgetting_entries:
-        doc["forgetting"] = [e._asdict() for e in forgetting_entries]
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8", newline="\n")
-
-
 def record_from_report(
     name: str, report: EvalReport, eval_dataset: str | None = None
 ) -> ModelRunRecord:
@@ -464,12 +444,12 @@ def record_from_report(
     )
 
 
-def f1_formula_note(record: ModelRunRecord, tol: float = CONSISTENCY_TOL) -> str | None:
+def f1_formula_note(record: ModelRunRecord) -> str | None:
     """Flag a stated F1 that disagrees with the harmonic mean of stated P/R."""
     if record.precision is None or record.recall is None or record.f1 is None:
         return None
     expected = f1_score(record.precision, record.recall)
-    if abs(expected - record.f1) <= tol:
+    if abs(expected - record.f1) <= CONSISTENCY_TOL:
         return None
     return (
         f"run {record.name!r}: stated f1={record.f1:.4f} disagrees with "
@@ -479,13 +459,13 @@ def f1_formula_note(record: ModelRunRecord, tol: float = CONSISTENCY_TOL) -> str
 
 
 def map_mean_note(
-    class_aps: dict[str, float], stated_overall: float, label: str = "", tol: float = CONSISTENCY_TOL
+    class_aps: dict[str, float], stated_overall: float, label: str = ""
 ) -> str | None:
     """Flag a stated overall mAP that is not the mean of its class APs."""
     if not class_aps:
         return None
     mean = sum(class_aps.values()) / len(class_aps)
-    if abs(mean - stated_overall) <= tol:
+    if abs(mean - stated_overall) <= CONSISTENCY_TOL:
         return None
     where = f"{label}: " if label else ""
     return (

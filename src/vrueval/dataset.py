@@ -127,11 +127,20 @@ class DatasetManifest(CheckedRecord, _DatasetManifest):
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key written twice is an error."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for i, k in enumerate(keys) if k in keys[:i])!r} repeats")
+    return doc
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
-        doc = json.loads(read_input(path))
-    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
+        doc = json.loads(read_input(path), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a repeat, huge int, deep nesting
         raise SchemaError(f"{path}: invalid manifest JSON: {exc}") from exc
     try:
         names = doc["class_names"]

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the one reader of input text,
-and the base of the record types that check their fields.
+"""Exception types shared across the toolkit, the one reader of input text and
+the one of YAML, and the base of the record types that check their fields.
 
 Every exception type here maps to CLI exit code 2 (data/contract errors);
 usage errors are exit code 1 and are handled by the CLI layer itself.
@@ -66,3 +66,27 @@ def read_input(path: str | os.PathLike) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", str(path)) from None
+
+
+def read_yaml(path: str | os.PathLike, what: str, *, typed: bool):
+    """The document of a YAML file, typed by PyYAML's safe loader if ``typed``, else
+    kept as text by its base loader. A key written twice in one mapping is an error,
+    found as the mapping is parsed, so its own key may still override one a ``<<``
+    merge brings. Every fault raises SchemaError as ``<path>: invalid <what>: ...``.
+    """
+    import yaml
+
+    class Loader(yaml.SafeLoader if typed else yaml.BaseLoader):
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            seen = {}
+            for key, _ in node.value:  # a non-scalar key fails later as unhashable
+                if isinstance(key, yaml.ScalarNode) and seen.setdefault(key.value, key) is not key:
+                    line = key.start_mark.line + 1
+                    raise ValueError(f"key {key.value!r} repeats on line {line}")
+            return node
+
+    try:
+        return yaml.load(read_input(path), Loader=Loader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # a repeat, huge int, deep nesting
+        raise SchemaError(f"{path}: invalid {what}: {exc}") from exc

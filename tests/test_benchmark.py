@@ -18,7 +18,6 @@ from vrueval.benchmark import (
     map_mean_note,
     record_from_report,
     relative_improvement,
-    save_run_file,
 )
 from vrueval.errors import SchemaError, VruEvalError
 
@@ -237,7 +236,7 @@ class TestRunFileIO:
         ]
         assert continual_runs[0].eval_dataset == "visdrone-val"
 
-    def test_unknown_fields_preserved(self, tmp_path):
+    def test_unknown_fields_kept_as_extra(self, tmp_path):
         path = tmp_path / "runs.yaml"
         path.write_text(
             "runs:\n"
@@ -246,21 +245,30 @@ class TestRunFileIO:
         )
         records, _ = load_run_file(path)
         assert records[0].extra == {"gpu": "rtx3090", "batch": 16}
-        out = tmp_path / "out.yaml"
-        save_run_file(out, records)
-        reloaded, _ = load_run_file(out)
-        assert reloaded[0].extra == {"gpu": "rtx3090", "batch": 16}
-        assert reloaded[1].map50 == 0.6
+        assert records[1].extra == {}
+        assert records[1].map50 == 0.6
 
-    def test_forgetting_section_round_trip(self, tmp_path):
+    def test_forgetting_section_read(self, tmp_path):
         path = tmp_path / "runs.yaml"
-        save_run_file(
-            path,
-            [ModelRunRecord("a", map50=0.5), ModelRunRecord("b", map50=0.4)],
-            [ForgettingEntry("t1", "map50", 0.5, 0.4)],
+        path.write_text(
+            "runs:\n  - {name: a, map50: 0.5}\n  - {name: b, map50: 0.4}\n"
+            "forgetting:\n  - {task: t1, metric: map50, before: 0.5, after: 0.4}\n"
         )
         records, entries = load_run_file(path)
+        assert records == [ModelRunRecord("a", map50=0.5), ModelRunRecord("b", map50=0.4)]
         assert entries == [ForgettingEntry("t1", "map50", 0.5, 0.4)]
+
+    def test_keys_a_merge_brings_are_not_repeats(self, tmp_path):
+        # ``d`` is merged into ``z`` before it is built itself: only its own keys count
+        path = tmp_path / "runs.yaml"
+        path.write_text(
+            "base: &base {map50: 0.3}\n"
+            "runs:\n  - x: {y: &d {<<: *base, map50: 0.5, name: a}}\n    name: b\n"
+            "  - {<<: *d, name: c}\n"
+        )
+        records, _ = load_run_file(path)
+        assert [(r.name, r.map50) for r in records] == [("b", None), ("c", 0.5)]
+        assert records[0].extra == {"x": {"y": {"map50": 0.5, "name": "a"}}}
 
     def test_integer_forgetting_values_read_as_floats(self, tmp_path):
         path = tmp_path / "runs.yaml"

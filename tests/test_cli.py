@@ -830,6 +830,58 @@ class TestCliContract:
         for fmt in ("aligned", "csv", "markdown", "structured"):
             assert fmt in stdout
 
+    @pytest.mark.parametrize(
+        "name, text, args, fault",
+        [
+            (
+                "runs.yaml",
+                "runs:\n  - name: a\n    precision: 0.5\n    precision: 0.9\n  - name: b\n",
+                ("compare", "--baseline", "b"),
+                "invalid YAML: key 'precision' repeats on line 4",
+            ),
+            (
+                "runs.yaml",
+                "runs:\n  - name: a\n  - name: b\nruns:\n  - name: c\n",
+                ("compare", "--baseline", "a"),
+                "invalid YAML: key 'runs' repeats on line 4",
+            ),
+            (
+                "runs.yaml",
+                "runs:\n  - name: a\n  - name: b\n"
+                "forgetting:\n"
+                "  - {task: t1, metric: map50, before: 0.5, after: 0.4, after: 0.5}\n",
+                ("compare", "--scenario"),
+                "invalid YAML: key 'after' repeats on line 5",
+            ),
+            (
+                "manifest.json",
+                '{"split": "val", "split": "train", "class_names": ["a"], "images": []}',
+                ("stats",),
+                "invalid manifest JSON: key 'split' repeats",
+            ),
+        ],
+        ids=["run-field", "runs-section", "forgetting-field", "manifest-split"],
+    )
+    def test_key_written_twice_names_its_file(self, capsys, tmp_path, name, text, args, fault):
+        path = tmp_path / name
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, args[0], path, *args[1:])
+        assert (code, stdout, stderr) == (2, "", f"error: {path}: {fault}\n")
+
+    def test_run_may_override_a_merged_key(self, capsys, tmp_path):
+        path = tmp_path / "runs.yaml"
+        path.write_text(
+            "defaults: &defaults\n  precision: 0.5\n  recall: 0.4\n"
+            "runs:\n  - <<: *defaults\n    name: a\n    precision: 0.6\n"
+            "  - <<: *defaults\n    name: b\n"
+        )
+        code, stdout, _ = run(capsys, "--format", "csv", "compare", path, "--baseline", "b")
+        assert code == 0
+        assert stdout.splitlines()[1:] == [
+            "a,0.6000,0.4000,,,,,+20.00,+0.00,,",
+            "b,0.5000,0.4000,,,,,+0.00,+0.00,,",
+        ]
+
     def test_malformed_run_file_no_traceback(self, capsys, tmp_path):
         path = tmp_path / "runs.yaml"
         path.write_text("runs: {not a list\n")

@@ -3,7 +3,8 @@
 Each example copies ``tests/fixtures/micro``, mutates one of its files with a
 hostile token or edit, and runs ``stats`` and ``eval`` (table and structured)
 in-process. The ``compare`` probe gives one field of a shipped run file, or an
-added extra field, a hostile YAML value, and runs both modes in both outputs.
+added extra field, a hostile YAML value, or writes one field twice, and runs
+both modes in both outputs.
 The class-map probe gives one value of README's example class map a hostile
 YAML value, or deletes one of its lines, and converts ``visdrone_mini`` with
 it; reading the map must succeed or name its path. Every run must exit 0 or
@@ -115,16 +116,19 @@ RUN_VALUES = [
 
 @st.composite
 def mutated_run_files(draw):
-    """A shipped run file with one field's value, or an added extra field, made hostile."""
+    """A shipped run file with one field's value, or an added extra field, made hostile,
+    or with one field written twice."""
     name = draw(st.sampled_from(sorted(RUN_FILES)))
     lines = (DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
     fields = [i for i, line in enumerate(lines) if re.match(r"  [- ] \w+: ", line)]
     i = draw(st.sampled_from(fields))
-    value = draw(st.sampled_from(RUN_VALUES))
-    if draw(st.booleans()):  # an extra field after this one
-        lines.insert(i + 1, f"    gpu: {value}\n")
+    edit = draw(st.sampled_from(["extra", "value", "repeat"]))
+    if edit == "repeat":  # the same field again, in the same run
+        lines.insert(i + 1, f"    {lines[i][4:]}")
+    elif edit == "extra":  # an extra field after this one
+        lines.insert(i + 1, f"    gpu: {draw(st.sampled_from(RUN_VALUES))}\n")
     else:
-        lines[i] = f"{lines[i].split(': ')[0]}: {value}\n"
+        lines[i] = f"{lines[i].split(': ')[0]}: {draw(st.sampled_from(RUN_VALUES))}\n"
     return name, "".join(lines)
 
 
