@@ -209,6 +209,11 @@ def _improvement_cell(metric, base_rec, new_rec) -> ImprovementCell | None:
     if base is None or new is None:
         return None
     percent = relative_improvement(new, base) if base else None
+    if percent is not None and not math.isfinite(percent):  # a subnormal baseline
+        raise VruEvalError(
+            f"{metric} of run {new_rec.name!r} against {base_rec.name!r}: "
+            f"relative improvement of {new:g} over {base:g} overflows"
+        )
     return ImprovementCell(metric, base_rec.name, new_rec.name, base, new, percent)
 
 

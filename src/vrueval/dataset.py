@@ -67,6 +67,8 @@ class ManifestImage(CheckedRecord, _ManifestImage):
     def __new__(cls, image_id: str, dims: ImageDims, label_path: str):
         if not isinstance(image_id, str):  # 7 and "7" would read one label file
             raise TypeError(f"image_id must be a string, got {image_id!r}")
+        if "/" in image_id:  # eval lists only the top level of the detection directory
+            raise ValueError(f"image_id {image_id!r} must not contain '/'")
         path = Path(label_path)
         if path.is_absolute() or ".." in path.parts:
             raise ValueError(

@@ -68,11 +68,17 @@ def read_input(path: str | os.PathLike) -> str:
         raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", str(path)) from None
 
 
+# Key tags of the safe loader that construct to a string: ``<<`` merges, ``=`` reads as "=".
+_STRING_KEY_TAGS = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("str", "merge", "value"))
+
+
 def read_yaml(path: str | os.PathLike, what: str, *, typed: bool):
     """The document of a YAML file, typed by PyYAML's safe loader if ``typed``, else
     kept as text by its base loader. A key written twice in one mapping is an error,
     found as the mapping is parsed, so its own key may still override one a ``<<``
-    merge brings. Every fault raises SchemaError as ``<path>: invalid <what>: ...``.
+    merge brings. A typed key must read as a string: ``1`` and ``0x1``, or ``yes``
+    and ``true``, would build one key from two texts. Every fault raises SchemaError
+    as ``<path>: invalid <what>: ...``.
     """
     import yaml
 
@@ -80,9 +86,16 @@ def read_yaml(path: str | os.PathLike, what: str, *, typed: bool):
         def compose_mapping_node(self, anchor):
             node = super().compose_mapping_node(anchor)
             seen = {}
-            for key, _ in node.value:  # a non-scalar key fails later as unhashable
-                if isinstance(key, yaml.ScalarNode) and seen.setdefault(key.value, key) is not key:
-                    line = key.start_mark.line + 1
+            for key, _ in node.value:
+                if not isinstance(key, yaml.ScalarNode):
+                    continue  # fails later as unhashable
+                line = key.start_mark.line + 1
+                if typed and key.tag not in _STRING_KEY_TAGS:
+                    kind = key.tag.rpartition(":")[2]
+                    raise ValueError(
+                        f"key {key.value!r} on line {line} reads as {kind}, not a string; quote it"
+                    )
+                if seen.setdefault(key.value, key) is not key:
                     raise ValueError(f"key {key.value!r} repeats on line {line}")
             return node
 

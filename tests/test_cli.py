@@ -355,6 +355,18 @@ class TestConvertCommand:
         assert code == 0
         assert "classes: pedestrian" in stdout
 
+    def test_classmap_tags_are_read_as_text(self, capsys, tmp_path):
+        # the base loader keeps every scalar as written; run files reject such keys
+        cm = tmp_path / "map.yaml"
+        cm.write_text(
+            "names: [pedestrian]\nmap: {!!int 1: 0}\ndrop: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]\n"
+            "ignore: [0]\n"
+        )
+        code, stdout, _ = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert (code, stdout.count("classes: pedestrian")) == (0, 1)
+
     def test_custom_classmap(self, capsys, tmp_path):
         cm = tmp_path / "map.yaml"
         cm.write_text(
@@ -563,6 +575,12 @@ class TestEvalCommand:
             ),
             # 7 and "7" would pass the duplicate check and read one label file
             ('"image_id": "img2"', '"image_id": 7', "image_id must be a string, got 7"),
+            # eval lists only the top level of the detection directory
+            (
+                '"image_id": "img2"',
+                '"image_id": "sub/img2"',
+                "image_id 'sub/img2' must not contain '/'",
+            ),
             ('"split": "val"', '"split": [1, 2]', "split must be a string, got [1, 2]"),
         ],
     )
@@ -867,6 +885,33 @@ class TestCliContract:
         path.write_text(text)
         code, stdout, stderr = run(capsys, args[0], path, *args[1:])
         assert (code, stdout, stderr) == (2, "", f"error: {path}: {fault}\n")
+
+    @pytest.mark.parametrize(
+        "run_text, fault",
+        [
+            ("{name: a, 1: x, 0x1: y}", "key '1' on line 2 reads as int"),
+            ("{name: a, yes: x, true: y}", "key 'yes' on line 2 reads as bool"),
+            ("{name: a, gpu: {1: a, 0x1: b}}", "key '1' on line 2 reads as int"),
+        ],
+        ids=["int-spellings", "bool-spellings", "nested"],
+    )
+    def test_run_file_key_must_read_as_a_string(self, capsys, tmp_path, run_text, fault):
+        # 1 and 0x1, or yes and true, would build one key and keep the last value
+        path = tmp_path / "runs.yaml"
+        path.write_text(f"runs:\n  - {run_text}\n  - {{name: b}}\n")
+        code, stdout, stderr = run(capsys, "compare", path, "--baseline", "b")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}: invalid YAML: {fault}, not a string; quote it\n"
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("mode", [("--baseline", "a"), ("--scenario",)])
+    def test_overflowing_improvement_names_metric_and_runs(self, capsys, tmp_path, fmt, mode):
+        path = tmp_path / "runs.yaml"
+        path.write_text("runs:\n  - {name: a, map50: 1.0e-320}\n  - {name: b, map50: 0.5}\n")
+        code, stdout, stderr = run(capsys, "--format", fmt, "compare", path, *mode)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: map50 of run 'b' against 'a': ")
+        assert stderr.endswith(" overflows\n")
 
     def test_run_may_override_a_merged_key(self, capsys, tmp_path):
         path = tmp_path / "runs.yaml"
