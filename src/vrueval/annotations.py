@@ -95,6 +95,8 @@ class ClassMap(CheckedRecord, _ClassMap):
             raise SchemaError("class map must define at least one target class")
         if len(set(names)) != k:
             raise SchemaError(f"duplicate target class names: {names}")
+        for name in names:
+            cls._one_line("class name", name)
         targets = set(mapping.values())
         if targets != set(range(k)):
             raise SchemaError(

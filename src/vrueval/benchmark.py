@@ -92,6 +92,7 @@ class ModelRunRecord(CheckedRecord, _ModelRunRecord):
     ):
         if not isinstance(name, str):
             raise SchemaError(f"run name must be a string, got {name!r}")
+        cls._one_line("run name", name)
         self = super().__new__(
             cls, name, precision, recall, f1, map50, fps, inference_ms, training_hours,
             eval_dataset, note, extra,

@@ -11,6 +11,8 @@ the reference operating point: IoU threshold 0.5, confidence threshold
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -21,8 +23,8 @@ from .annotations import ClassMap
 from .dataset import convert_dataset, dataset_stats, load_manifest
 from .errors import VruEvalError
 from .evaluate import DEFAULT_CONF_THRESH, DEFAULT_IOU_THRESH, evaluate
-from .render import TABLE_FORMATS, render_table
 
+TABLE_FORMATS = ("aligned", "csv", "markdown")
 OUTPUT_FORMATS = TABLE_FORMATS + ("structured",)
 
 
@@ -101,14 +103,40 @@ _DIRECTORY = _path(is_dir=True, must_exist=True)
 _THRESHOLD = _number("in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 
-def _echo_result(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def render_table(headers: list[str], rows: list[list[str]], fmt: str = "aligned") -> str:
+    """A header and its rows as an aligned text, CSV or markdown table, each line ended."""
+    if fmt == "aligned":
+        widths = [len(h) for h in headers]
+        for row in rows:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths[i], len(cell))
+        lines = [
+            "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+            "  ".join("-" * w for w in widths),
+        ]
+        for row in rows:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(rows)
+        return buf.getvalue()
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+    ]
+    for row in rows:  # a | inside a cell would start a new cell
+        lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def _render(report, fmt: str) -> str:
-    """A report (``to_dict`` and ``to_tables``) as JSON or as blank-line-separated tables."""
+    """The bytes of a report (``to_dict`` and ``to_tables``): JSON, or tables separated
+    by a blank line."""
     if fmt == "structured":
-        return json.dumps(report.to_dict(), indent=2, allow_nan=False)
+        return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     return "\n".join(render_table(headers, rows, fmt) for headers, rows in report.to_tables())
 
 
@@ -128,14 +156,14 @@ def _convert(args: argparse.Namespace) -> None:
         workers=args.workers,
         warn=lambda msg: _warn(args, msg),
     )
-    _echo_result(
+    print(
         f"converted {len(manifest.images)} images to {args.out} "
         f"(split {manifest.split!r}, classes: {', '.join(manifest.class_names)})"
     )
 
 
 def _stats(args: argparse.Namespace) -> None:
-    _echo_result(_render(dataset_stats(load_manifest(args.manifest)), args.fmt))
+    sys.stdout.write(_render(dataset_stats(load_manifest(args.manifest)), args.fmt))
 
 
 def _eval(args: argparse.Namespace) -> None:
@@ -144,8 +172,8 @@ def _eval(args: argparse.Namespace) -> None:
     for warning in report.warnings:
         _warn(args, warning)
     if args.out:
-        Path(args.out).write_text(_render(report, "structured") + "\n", encoding="utf-8")
-    _echo_result(_render(report, args.fmt))
+        Path(args.out).write_text(_render(report, "structured"), encoding="utf-8")
+    sys.stdout.write(_render(report, args.fmt))
 
 
 def _compare(args: argparse.Namespace) -> None:
@@ -168,7 +196,7 @@ def _compare(args: argparse.Namespace) -> None:
                 _warn(args, flag.describe())
     else:
         report = compare_models(records, args.baseline, args.frames, args.sort_by)
-    _echo_result(_render(report, args.fmt))
+    sys.stdout.write(_render(report, args.fmt))
 
 
 def build_parser() -> argparse.ArgumentParser:

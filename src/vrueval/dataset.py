@@ -95,6 +95,8 @@ class DatasetManifest(CheckedRecord, _DatasetManifest):
             raise SchemaError(f"split must be a string, got {split!r}")
         if len(class_names) != len(set(class_names)):
             raise SchemaError(f"duplicate class names: {class_names}")
+        for name in class_names:
+            cls._one_line("class name", name)
         seen = set()
         for image in images:
             if image.image_id in seen:
@@ -403,11 +405,8 @@ def convert_dataset(
         f"{image_id} {dims.width} {dims.height}\n" for image_id, dims, _, _ in rendered
     )
     (out / DIMENSION_INDEX).write_text(dim_lines, encoding="utf-8", newline="\n")
-    descriptor = {"names": list(class_map.names)}
-    for name in ("train", "val", "test"):
-        descriptor[name] = f"labels/{split}" if name == split else ""
-    if split not in ("train", "val", "test"):
-        descriptor[split] = f"labels/{split}"
+    descriptor = {"names": list(class_map.names), "train": "", "val": "", "test": ""}
+    descriptor[split] = f"labels/{split}"
     (out / DESCRIPTOR).write_text(_descriptor_yaml(descriptor), encoding="utf-8", newline="\n")
     manifest.save(out / MANIFEST)
     stale = sorted(

@@ -54,6 +54,12 @@ class CheckedRecord(tuple):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    @staticmethod
+    def _one_line(what: str, name: str) -> None:
+        """Reject a name that ``str.splitlines`` splits: a table row holds each name whole."""
+        if name.splitlines() not in ([], [name]):
+            raise SchemaError(f"{what} {name!r} is not one line")
+
 
 def read_input(path: str | os.PathLike) -> str:
     """The UTF-8 text of an input file, every line ending turned into ``\\n``.

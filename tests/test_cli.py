@@ -367,6 +367,22 @@ class TestConvertCommand:
         )
         assert (code, stdout.count("classes: pedestrian")) == (0, 1)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["ped\nestrian", "pedestrian\n", "ped\r\nestrian", "ped\x85", "ped\u2028"],
+        ids=["lf", "trailing-lf", "crlf", "nel", "line-separator"],
+    )
+    def test_classmap_name_must_be_one_line(self, capsys, tmp_path, name):
+        cm = tmp_path / "map.json"
+        names = [name, "people", "bicycle", "tricycle"]
+        cm.write_text(json.dumps({"names": names, **VISDRONE_MAP}))
+        code, stdout, stderr = run(
+            capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cm}: invalid class map: class name {name!r} is not one line\n"
+        assert not (tmp_path / "out").exists()
+
     def test_custom_classmap(self, capsys, tmp_path):
         cm = tmp_path / "map.yaml"
         cm.write_text(
@@ -378,6 +394,15 @@ class TestConvertCommand:
         )
         assert code == 0
         assert "classes: pedestrian" in stdout
+
+
+# the default remap of ``ClassMap.visdrone_default``, as class-map keys
+VISDRONE_MAP = {"map": {1: 0, 2: 1, 3: 2, 7: 3}, "drop": [4, 5, 6, 8, 9, 10, 11], "ignore": [0]}
+
+
+def markdown_cells(text: str) -> list[int]:
+    """The number of cells on each line of a markdown table; an escaped ``|`` is text."""
+    return [len(re.split(r"(?<!\\)\|", line)) - 2 for line in text.splitlines() if line]
 
 
 class TestStatsCommand:
@@ -405,6 +430,31 @@ class TestStatsCommand:
         code, _, stderr = run(capsys, "stats", converted)
         assert code == 2
         assert "0000002.txt:1" in stderr
+
+    def test_markdown_escapes_a_bar_in_a_class_name(self, capsys, tmp_path):
+        cm = tmp_path / "map.json"
+        names = ["ped|estrian", "people", "bicycle", "tricycle"]
+        cm.write_text(json.dumps({"names": names, **VISDRONE_MAP}))
+        out = tmp_path / "ds"
+        assert run(capsys, "convert", FIXTURES / "visdrone_mini", out, "--classmap", cm)[0] == 0
+        code, stdout, _ = run(capsys, "--format", "markdown", "stats", out / "manifest.json")
+        assert code == 0
+        assert "| ped\\|estrian | 1 | 1 |\n" in stdout
+        assert markdown_cells(stdout) == [3] * 7
+        # the other formats keep the name as it is
+        assert run(capsys, "stats", out / "manifest.json")[1].count("ped|estrian  ") == 1
+        csv_out = run(capsys, "--format", "csv", "stats", out / "manifest.json")[1]
+        assert "ped|estrian,1,1\n" in csv_out
+
+    @pytest.mark.parametrize(
+        "name", ["c0\nc1", "c0\r", "c0\u2029c1"], ids=["lf", "trailing-cr", "paragraph-separator"]
+    )
+    def test_manifest_class_name_must_be_one_line(self, capsys, tmp_path, name):
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps({"split": "t", "class_names": [name], "images": []}))
+        code, stdout, stderr = run(capsys, "stats", mf)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {mf}: invalid manifest: class name {name!r} is not one line\n"
 
     def test_empty_manifest(self, capsys, tmp_path):
         mf = tmp_path / "manifest.json"
@@ -665,6 +715,30 @@ class TestCompareCommand:
         assert code == 0
         assert "+25.00" in stdout
 
+    @pytest.mark.parametrize(
+        "mode", [("--baseline", "c"), ("--scenario",)], ids=["baseline", "scenario"]
+    )
+    def test_markdown_escapes_a_bar_in_a_run_name(self, capsys, tmp_path, mode):
+        path = tmp_path / "runs.yaml"
+        path.write_text("runs:\n  - name: a|b\n    map50: 0.4\n  - name: c\n    map50: 0.5\n")
+        code, stdout, _ = run(capsys, "--format", "markdown", "compare", path, *mode)
+        assert code == 0
+        assert "| a\\|b | " in stdout and "| a|b" not in stdout
+        for table in stdout.split("\n\n"):
+            cells = markdown_cells(table)
+            assert cells == [cells[0]] * len(cells), table
+
+    @pytest.mark.parametrize(
+        "name", ["a\nb", "a\n", "a\x0cb", "a\u2028b"],
+        ids=["lf", "trailing-lf", "form-feed", "line-separator"],
+    )
+    def test_run_name_must_be_one_line(self, capsys, tmp_path, name):
+        path = tmp_path / "runs.yaml"
+        path.write_text(json.dumps({"runs": [{"name": name, "map50": 0.4}, {"name": "c"}]}))
+        code, stdout, stderr = run(capsys, "compare", path, "--baseline", "c")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}: run name {name!r} is not one line\n"
+
     def test_duplicate_names_across_files(self, capsys, tmp_path):
         path = tmp_path / "runs.yaml"
         path.write_text("runs:\n  - name: a\n    map50: 0.4\n  - name: b\n    map50: 0.5\n")
@@ -741,6 +815,8 @@ class TestCompareCommand:
         args = build_parser().parse_args(["compare", str(DATA / "model_benchmark.yaml")])
         assert args.frames == benchmark.DEFAULT_FRAMES
         assert args.epsilon == benchmark.DEFAULT_EPSILON
+        (sort_by,) = (action for action in args.parser._actions if action.dest == "sort_by")
+        assert tuple(sort_by.choices) == tuple(benchmark.METRIC_FIELDS)
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(
