@@ -101,6 +101,8 @@ class ModelRunRecord(CheckedRecord, _ModelRunRecord):
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
                 raise SchemaError(f"run {name!r}: {key}={value!r} is not a string")
+        if eval_dataset is not None:  # the scenario's run table has a Dataset column
+            cls._one_line(f"run {name!r}: eval_dataset", eval_dataset)
         for key in _NUMBER_FIELDS:
             value = getattr(self, key)
             if value is not None and not _is_number(value):
@@ -156,6 +158,7 @@ class ForgettingEntry(CheckedRecord, _ForgettingEntry):
         for key, value in (("task", task), ("metric", metric)):
             if not isinstance(value, str):
                 raise SchemaError(f"{key}={value!r} is not a string")
+            cls._one_line(key, value)
         for key, value in (("before", before), ("after", after)):
             if not _is_number(value):
                 raise SchemaError(f"{key}={value!r} is not a number")

@@ -22,6 +22,7 @@ identity map) reproduces identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from pathlib import Path
@@ -369,7 +370,7 @@ def convert_dataset(
         rows, regions = [], []
         if source_format == "yolo":
             rows = parse_label_file(read_input(ann_path), class_map, dims, str(ann_path))
-            regions = _sidecar_regions(ann_path.with_suffix(".ignore"), dims)
+            regions = _sidecar_regions(str(ann_path.with_suffix(".ignore")), dims)
         elif ann_path.is_file():
             rows = parse_visdrone_file(read_input(ann_path), class_map, str(ann_path))
         else:
@@ -426,25 +427,47 @@ def convert_dataset(
 _NO_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-def _sidecar_regions(path: Path, dims: ImageDims) -> list[tuple]:
+def _sidecar_regions(path: str, dims: ImageDims) -> list[tuple]:
     """Corner rows of an ignore-region sidecar; none when it is absent."""
     try:
         text = read_input(path)
     except _NO_FILE:
         return []
-    return parse_box_rows(text, 0, dims, None, str(path))
+    return parse_box_rows(text, 0, dims, None, path)
+
+
+@functools.lru_cache(maxsize=16)
+def _dir_prefix(directory: Path, sub: str) -> str:
+    """``str(directory / sub)`` ready to take a file name: ``""`` for ``.``, else
+    ending in ``/``. A manifest's images share a few directories, so each is
+    normalized by ``Path`` once."""
+    path = str(directory / sub)
+    return "" if path == "." else path if path.endswith("/") else path + "/"
+
+
+def _label_and_sidecar(manifest: DatasetManifest, image: ManifestImage) -> tuple[str, str]:
+    """``str(manifest.label_file(image))`` and ``str(manifest.ignore_file(image))``,
+    built from strings: a file name other than ``""`` and ``.`` comes through
+    ``Path`` unchanged, and its suffix follows ``PurePath.suffix``."""
+    sub, _, name = image.label_path.rpartition("/")
+    if name in ("", "."):  # Path drops it and names the directory
+        return str(manifest.label_file(image)), str(manifest.ignore_file(image))
+    prefix = _dir_prefix(manifest.root, sub)
+    i = name.rfind(".")
+    stem = name[:i] if 0 < i < len(name) - 1 else name
+    return prefix + name, prefix + stem + ".ignore"
 
 
 def ground_truth_rows(manifest: DatasetManifest, image: ManifestImage) -> tuple[list, list]:
     """``(labels, regions)`` of one manifest image: its ``(class_id, x_min, y_min,
     x_max, y_max)`` label rows and its ignore-sidecar corner rows, in file order."""
-    label_path = manifest.label_file(image)
+    label_path, sidecar_path = _label_and_sidecar(manifest, image)
     try:
         text = read_input(label_path)
     except _NO_FILE:
-        raise ParseError("label file not found", str(label_path)) from None
-    labels = parse_box_rows(text, 1, image.dims, len(manifest.class_names), str(label_path))
-    return labels, _sidecar_regions(manifest.ignore_file(image), image.dims)
+        raise ParseError("label file not found", label_path) from None
+    labels = parse_box_rows(text, 1, image.dims, len(manifest.class_names), label_path)
+    return labels, _sidecar_regions(sidecar_path, image.dims)
 
 
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:

@@ -64,14 +64,19 @@ class CheckedRecord(tuple):
 def read_input(path: str | os.PathLike) -> str:
     """The UTF-8 text of an input file, every line ending turned into ``\\n``.
 
-    Undecodable bytes raise ParseError naming the path and the offset of the
-    first bad byte.
+    The bytes are read whole and decoded in one call; ``\\r\\n`` and then a lone
+    ``\\r`` become ``\\n``, as text mode's universal newlines do. Undecodable
+    bytes raise ParseError naming the path and the offset of the first bad byte.
     """
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file needs no buffer
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}", str(path)) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 # Key tags of the safe loader that construct to a string: ``<<`` merges, ``=`` reads as "=".

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .annotations import parse_detection_rows
-from .dataset import DatasetManifest, ground_truth_rows
+from .dataset import DatasetManifest, _dir_prefix, ground_truth_rows
 from .errors import VruEvalError, read_input
 from .metrics import (
     ConfusionCounts,
@@ -132,12 +132,13 @@ def evaluate(
         )
     stray = sorted(name for name in listed - wanted if name.endswith(".txt"))
     k = len(manifest.class_names)
+    prefix = _dir_prefix(detections_dir, "")  # each image's path is prefix + "<image_id>.txt"
 
     def images():
         for img in manifest.images:
             labels, regions = ground_truth_rows(manifest, img)  # read before the detections
-            path = detections_dir / f"{img.image_id}.txt"
-            yield labels, regions, parse_detection_rows(read_input(path), img.dims, k, str(path))
+            path = prefix + img.image_id + ".txt"
+            yield labels, regions, parse_detection_rows(read_input(path), img.dims, k, path)
 
     curves = sweep_images(images(), k, iou_thresh)
     aps: dict[int, float | None] = {}

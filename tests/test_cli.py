@@ -739,6 +739,35 @@ class TestCompareCommand:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {path}: run name {name!r} is not one line\n"
 
+    @pytest.mark.parametrize(
+        "field, fault",
+        [
+            ("eval_dataset", "run 'a': eval_dataset 'val\\nset' is not one line"),
+            (
+                "task",
+                "invalid forgetting entry {'task': 'val\\nset', 'metric': 'map50', 'before': "
+                "0.5, 'after': 0.4}: task 'val\\nset' is not one line",
+            ),
+            (
+                "metric",
+                "invalid forgetting entry {'task': 'day', 'metric': 'val\\nset', 'before': "
+                "0.5, 'after': 0.4}: metric 'val\\nset' is not one line",
+            ),
+        ],
+        ids=["eval_dataset", "task", "metric"],
+    )
+    def test_table_text_must_be_one_line(self, capsys, tmp_path, field, fault):
+        """A run's ``eval_dataset`` and a forgetting entry's ``task`` and ``metric``
+        fill table cells, so a line break in one would split its row."""
+        entry = {"task": "day", "metric": "map50", "before": 0.5, "after": 0.4}
+        run_a = {"name": "a", "map50": 0.4}
+        (run_a if field == "eval_dataset" else entry)[field] = "val\nset"
+        path = tmp_path / "runs.yaml"
+        path.write_text(json.dumps({"runs": [run_a, {"name": "b"}], "forgetting": [entry]}))
+        code, stdout, stderr = run(capsys, "compare", path, "--scenario")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}: {fault}\n"
+
     def test_duplicate_names_across_files(self, capsys, tmp_path):
         path = tmp_path / "runs.yaml"
         path.write_text("runs:\n  - name: a\n    map50: 0.4\n  - name: b\n    map50: 0.5\n")
@@ -1038,6 +1067,37 @@ class TestCliContract:
         code, stdout, stderr = run(capsys, *args)
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {bad}: not UTF-8 text: byte {len(text)}: invalid start byte\n"
+
+    @pytest.mark.parametrize(
+        "bad, line, parse",
+        [
+            (
+                "labels/val/img2.txt", "0 0.5 0.5 0.2",
+                lambda text, dims, path: parse_box_rows(text, 1, dims, 2, path),
+            ),
+            (
+                "labels/val/img1.ignore", "0.5 0.5 0.2 nan",
+                lambda text, dims, path: parse_box_rows(text, 0, dims, None, path),
+            ),
+        ],
+        ids=["label", "sidecar"],
+    )
+    def test_bare_manifest_in_the_working_directory_names_relative_paths(
+        self, capsys, tmp_path, monkeypatch, bad, line, parse
+    ):
+        """A manifest read from the working directory has the root ``.``; ground-truth
+        paths are named as the label paths give them, with no ``./`` in front."""
+        shutil.copytree(MICRO, tmp_path / "micro")
+        monkeypatch.chdir(tmp_path / "micro")
+        text = Path(bad).read_text() + line + "\n"
+        Path(bad).write_text(text)
+        dims = load_manifest("manifest.json").images[0].dims  # img1 and img2 share them
+        with pytest.raises(ParseError) as info:
+            parse(text, dims, bad)
+        expected = f"error: {info.value}\n"
+        assert expected.startswith(f"error: {bad}:{len(text.splitlines())}: ")
+        assert run(capsys, "stats", "manifest.json") == (2, "", expected)
+        assert run(capsys, "eval", "manifest.json", "detections") == (2, "", expected)
 
     @pytest.mark.parametrize(
         "bad, old, new, args, fault",

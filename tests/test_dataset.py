@@ -9,6 +9,8 @@ from vrueval.cli import main
 from vrueval.dataset import (
     DatasetManifest,
     ManifestImage,
+    _dir_prefix,
+    _label_and_sidecar,
     convert_dataset,
     dataset_stats,
     ground_truth_rows,
@@ -506,6 +508,27 @@ class TestGroundTruthFiles:
         manifest = load_manifest(self.manifest(tmp_path, "a.txt"))
         labels, regions = ground_truth_rows(manifest, manifest.images[0])
         assert (labels, regions) == ([(0, 40.0, 40.0, 60.0, 60.0)], [])
+
+    @pytest.mark.parametrize("root", [".", "", "/", "m", "/a/b", "a/./b"])
+    @pytest.mark.parametrize(
+        "label_path",
+        [
+            "x.txt", "./x.txt", "labels//x.txt", "labels/./x.txt",
+            "x", ".x", "x.", "x..txt", "a.b.txt", "d.d/x", "labels/", "labels/.",
+        ],
+    )
+    def test_paths_built_from_strings_equal_the_path_methods(self, root, label_path):
+        """``ground_truth_rows`` and ``evaluate`` build their paths from strings,
+        which must name what ``label_file``, ``ignore_file`` and ``/`` name."""
+        manifest = DatasetManifest(
+            "t", ("c0",), (ManifestImage("a", ImageDims(1, 1), label_path),), Path(root)
+        )
+        image = manifest.images[0]
+        assert _label_and_sidecar(manifest, image) == (
+            str(manifest.label_file(image)),
+            str(manifest.ignore_file(image)),
+        )
+        assert _dir_prefix(Path(root), "") + "a.txt" == str(Path(root) / "a.txt")
 
 
 def test_dimension_index_rejects_duplicates(tmp_path):
