@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -59,7 +60,19 @@ MANIFEST = "manifest.json"
 class _ManifestImage(NamedTuple):
     image_id: str
     dims: ImageDims
-    label_path: str  # relative to the manifest's directory, never leaving it
+    label_path: str  # a file under the manifest's directory, relative to it
+
+
+def _openable(text: str) -> bool:
+    """Whether ``open()`` takes ``text`` as a path: it holds no NUL and encodes as a
+    file name (``os.fsencode``, so surrogate-escaped bytes stay valid)."""
+    if "\0" in text:
+        return False
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class ManifestImage(CheckedRecord, _ManifestImage):
@@ -70,12 +83,22 @@ class ManifestImage(CheckedRecord, _ManifestImage):
             raise TypeError(f"image_id must be a string, got {image_id!r}")
         if "/" in image_id:  # eval lists only the top level of the detection directory
             raise ValueError(f"image_id {image_id!r} must not contain '/'")
-        path = Path(label_path)
-        if path.is_absolute() or ".." in path.parts:
+        if not isinstance(label_path, str):
+            raise TypeError(f"image {image_id!r}: label_path must be a string, got {label_path!r}")
+        for what, text in (("image_id", image_id), ("label_path", label_path)):
+            if not _openable(text):
+                raise ValueError(
+                    f"image {image_id!r}: {what} {text!r} cannot name a file "
+                    "(it holds NUL, or a character the file system cannot encode)"
+                )
+        parts = label_path.split("/")
+        if label_path.startswith("/") or ".." in parts:
             raise ValueError(
                 f"image {image_id!r}: label_path {label_path!r} "
                 "must be relative and stay under the manifest directory"
             )
+        if parts[-1] in ("", "."):
+            raise ValueError(f"image {image_id!r}: label_path {label_path!r} names a directory")
         return super().__new__(cls, image_id, dims, label_path)
 
 
@@ -109,9 +132,6 @@ class DatasetManifest(CheckedRecord, _DatasetManifest):
 
     def label_file(self, image: ManifestImage) -> Path:
         return self.root / image.label_path
-
-    def ignore_file(self, image: ManifestImage) -> Path:
-        return self.label_file(image).with_suffix(".ignore")
 
     def to_dict(self) -> dict:
         return {
@@ -446,12 +466,9 @@ def _dir_prefix(directory: Path, sub: str) -> str:
 
 
 def _label_and_sidecar(manifest: DatasetManifest, image: ManifestImage) -> tuple[str, str]:
-    """``str(manifest.label_file(image))`` and ``str(manifest.ignore_file(image))``,
-    built from strings: a file name other than ``""`` and ``.`` comes through
-    ``Path`` unchanged, and its suffix follows ``PurePath.suffix``."""
+    """An image's label path under the manifest's directory, and its sidecar's: the file
+    name's suffix (as ``PurePath.suffix`` finds it) replaced by ``.ignore``."""
     sub, _, name = image.label_path.rpartition("/")
-    if name in ("", "."):  # Path drops it and names the directory
-        return str(manifest.label_file(image)), str(manifest.ignore_file(image))
     prefix = _dir_prefix(manifest.root, sub)
     i = name.rfind(".")
     stem = name[:i] if 0 < i < len(name) - 1 else name

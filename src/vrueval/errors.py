@@ -56,9 +56,14 @@ class CheckedRecord(tuple):
 
     @staticmethod
     def _one_line(what: str, name: str) -> None:
-        """Reject a name that ``str.splitlines`` splits: a table row holds each name whole."""
+        """Reject a name that a table row cannot hold whole: one that ``str.splitlines``
+        splits, or one that is not UTF-8 text (a lone surrogate, from a ``\\ud800`` escape)."""
         if name.splitlines() not in ([], [name]):
             raise SchemaError(f"{what} {name!r} is not one line")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{what} {name!r} is not UTF-8 text") from None
 
 
 def read_input(path: str | os.PathLike) -> str:

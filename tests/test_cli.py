@@ -368,11 +368,18 @@ class TestConvertCommand:
         assert (code, stdout.count("classes: pedestrian")) == (0, 1)
 
     @pytest.mark.parametrize(
-        "name",
-        ["ped\nestrian", "pedestrian\n", "ped\r\nestrian", "ped\x85", "ped\u2028"],
-        ids=["lf", "trailing-lf", "crlf", "nel", "line-separator"],
+        "name, fault",
+        [
+            ("ped\nestrian", "is not one line"),
+            ("pedestrian\n", "is not one line"),
+            ("ped\r\nestrian", "is not one line"),
+            ("ped\x85", "is not one line"),
+            ("ped\u2028", "is not one line"),
+            ("ped\ud800", "is not UTF-8 text"),  # a lone surrogate, from a "\ud800" escape
+        ],
+        ids=["lf", "trailing-lf", "crlf", "nel", "line-separator", "lone-surrogate"],
     )
-    def test_classmap_name_must_be_one_line(self, capsys, tmp_path, name):
+    def test_classmap_name_must_be_one_line(self, capsys, tmp_path, name, fault):
         cm = tmp_path / "map.json"
         names = [name, "people", "bicycle", "tricycle"]
         cm.write_text(json.dumps({"names": names, **VISDRONE_MAP}))
@@ -380,7 +387,7 @@ class TestConvertCommand:
             capsys, "convert", FIXTURES / "visdrone_mini", tmp_path / "out", "--classmap", cm
         )
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: {cm}: invalid class map: class name {name!r} is not one line\n"
+        assert stderr == f"error: {cm}: invalid class map: class name {name!r} {fault}\n"
         assert not (tmp_path / "out").exists()
 
     def test_custom_classmap(self, capsys, tmp_path):
@@ -447,14 +454,21 @@ class TestStatsCommand:
         assert "ped|estrian,1,1\n" in csv_out
 
     @pytest.mark.parametrize(
-        "name", ["c0\nc1", "c0\r", "c0\u2029c1"], ids=["lf", "trailing-cr", "paragraph-separator"]
+        "name, fault",
+        [
+            ("c0\nc1", "is not one line"),
+            ("c0\r", "is not one line"),
+            ("c0\u2029c1", "is not one line"),
+            ("c0\ud800", "is not UTF-8 text"),
+        ],
+        ids=["lf", "trailing-cr", "paragraph-separator", "lone-surrogate"],
     )
-    def test_manifest_class_name_must_be_one_line(self, capsys, tmp_path, name):
+    def test_manifest_class_name_must_be_one_line(self, capsys, tmp_path, name, fault):
         mf = tmp_path / "manifest.json"
         mf.write_text(json.dumps({"split": "t", "class_names": [name], "images": []}))
         code, stdout, stderr = run(capsys, "stats", mf)
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: {mf}: invalid manifest: class name {name!r} is not one line\n"
+        assert stderr == f"error: {mf}: invalid manifest: class name {name!r} {fault}\n"
 
     def test_empty_manifest(self, capsys, tmp_path):
         mf = tmp_path / "manifest.json"
@@ -582,7 +596,7 @@ class TestEvalCommand:
                 lambda text, path: parse_box_rows(text, 1, img.dims, 2, path),
             ),
             "ignore": (
-                manifest.ignore_file(img),
+                manifest.label_file(img).with_suffix(".ignore"),
                 lambda text, path: parse_box_rows(text, 0, img.dims, None, path),
             ),
         }[kind]
@@ -729,15 +743,22 @@ class TestCompareCommand:
             assert cells == [cells[0]] * len(cells), table
 
     @pytest.mark.parametrize(
-        "name", ["a\nb", "a\n", "a\x0cb", "a\u2028b"],
-        ids=["lf", "trailing-lf", "form-feed", "line-separator"],
+        "name, fault",
+        [
+            ("a\nb", "is not one line"),
+            ("a\n", "is not one line"),
+            ("a\x0cb", "is not one line"),
+            ("a\u2028b", "is not one line"),
+            ("a\ud800", "is not UTF-8 text"),
+        ],
+        ids=["lf", "trailing-lf", "form-feed", "line-separator", "lone-surrogate"],
     )
-    def test_run_name_must_be_one_line(self, capsys, tmp_path, name):
+    def test_run_name_must_be_one_line(self, capsys, tmp_path, name, fault):
         path = tmp_path / "runs.yaml"
         path.write_text(json.dumps({"runs": [{"name": name, "map50": 0.4}, {"name": "c"}]}))
         code, stdout, stderr = run(capsys, "compare", path, "--baseline", "c")
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: {path}: run name {name!r} is not one line\n"
+        assert stderr == f"error: {path}: run name {name!r} {fault}\n"
 
     @pytest.mark.parametrize(
         "field, fault",

@@ -1,5 +1,7 @@
+import itertools
+import json
 import shutil
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -399,6 +401,76 @@ class TestManifest:
             load_manifest(path)
         assert str(path) in str(exc_info.value)
 
+    @pytest.mark.parametrize("label_path", ["labels/", "labels/.", "x.txt/", ".", ""])
+    def test_label_path_must_name_a_file(self, tmp_path, capsys, label_path):
+        (tmp_path / "x.txt").write_text("0 0.5 0.5 0.2 0.2\n")  # what "x.txt/" would read
+        (tmp_path / "detections").mkdir()
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "split": "t", "class_names": ["c0"],
+            "images": [{"image_id": "x", "width": 9, "height": 9, "label_path": label_path}],
+        }))
+        expected = (
+            f"error: {path}: invalid manifest: image 'x': label_path {label_path!r} "
+            "names a directory\n"
+        )
+        for args in (["stats", path], ["eval", path, tmp_path / "detections"]):
+            assert main([str(arg) for arg in args]) == 2
+            assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("field", ["image_id", "label_path"])
+    @pytest.mark.parametrize("char", ["\0", "\ud800"], ids=["nul", "lone-surrogate"])
+    def test_image_id_and_label_path_must_name_files(self, tmp_path, capsys, field, char):
+        """``open()`` takes neither a NUL nor a string the file system cannot encode."""
+        entry = {"image_id": "x", "width": 9, "height": 9, "label_path": "x.txt"}
+        entry[field] = entry[field] + char
+        (tmp_path / "detections").mkdir()
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"split": "t", "class_names": ["c0"], "images": [entry]}))
+        expected = (
+            f"error: {path}: invalid manifest: image {entry['image_id']!r}: "
+            f"{field} {entry[field]!r} cannot name a file "
+            "(it holds NUL, or a character the file system cannot encode)\n"
+        )
+        for args in (["stats", path], ["eval", path, tmp_path / "detections"]):
+            assert main([str(arg) for arg in args]) == 2
+            assert capsys.readouterr().err == expected
+
+    def test_a_file_name_that_is_not_utf8_stays_valid(self, tmp_path, capsys):
+        """Python reads the byte 0xff of a file name as the character ``\\udcff``."""
+        (tmp_path / "a\udcff.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        entry = {"image_id": "a\udcff", "width": 9, "height": 9, "label_path": "a\udcff.txt"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"split": "t", "class_names": ["c0"], "images": [entry]}))
+        assert main(["--format", "csv", "stats", str(path)]) == 0
+        assert capsys.readouterr().out == "Class,Images,Instances\nc0,1,1\nall,1,1\n"
+
+    def test_label_path_rule_is_the_old_path_rule_for_files(self):
+        """Every label path of up to four parts, with and without a leading ``/``, is
+        accepted exactly when ``Path`` finds it relative with no ``..`` part and it
+        does not end in ``/`` or ``/.`` (or is ``.`` or empty)."""
+        parts = ["a", "b.txt", ".", "..", "", ".x", "x."]
+        paths = [
+            lead + "/".join(combo)
+            for n in range(1, 5)
+            for combo in itertools.product(parts, repeat=n)
+            for lead in ("", "/")
+        ]
+        assert len(paths) == 5600
+        wrong = []
+        for label_path in paths:
+            pure = PurePosixPath(label_path)
+            names_file = label_path not in ("", ".") and not label_path.endswith(("/", "/."))
+            expected = not pure.is_absolute() and ".." not in pure.parts and names_file
+            try:
+                ManifestImage("a", ImageDims(1, 1), label_path)
+                accepted = True
+            except ValueError:
+                accepted = False
+            if accepted != expected:
+                wrong.append(label_path)
+        assert wrong == []
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json")
@@ -514,19 +586,20 @@ class TestGroundTruthFiles:
         "label_path",
         [
             "x.txt", "./x.txt", "labels//x.txt", "labels/./x.txt",
-            "x", ".x", "x.", "x..txt", "a.b.txt", "d.d/x", "labels/", "labels/.",
+            "x", ".x", "x.", "x..txt", "a.b.txt", "d.d/x",
         ],
     )
     def test_paths_built_from_strings_equal_the_path_methods(self, root, label_path):
         """``ground_truth_rows`` and ``evaluate`` build their paths from strings,
-        which must name what ``label_file``, ``ignore_file`` and ``/`` name."""
+        which must name what ``label_file``, its ``with_suffix(".ignore")`` and
+        ``/`` name."""
         manifest = DatasetManifest(
             "t", ("c0",), (ManifestImage("a", ImageDims(1, 1), label_path),), Path(root)
         )
         image = manifest.images[0]
         assert _label_and_sidecar(manifest, image) == (
             str(manifest.label_file(image)),
-            str(manifest.ignore_file(image)),
+            str(manifest.label_file(image).with_suffix(".ignore")),
         )
         assert _dir_prefix(Path(root), "") + "a.txt" == str(Path(root) / "a.txt")
 

@@ -5,21 +5,27 @@ hostile token or edit, and runs ``stats`` and ``eval`` (table and structured)
 in-process. The ``compare`` probe gives one field of a shipped run file, or an
 added extra field, a hostile YAML value, or writes one field twice, and runs
 both modes in both outputs.
+The manifest probe gives one string of micro's manifest (its split, a class
+name, an image id or a label path) a hostile JSON value, and runs ``stats`` and
+``eval`` in both outputs.
 The class-map probe gives one value of README's example class map a hostile
 YAML value, or deletes one of its lines, and converts ``visdrone_mini`` with
 it; reading the map must succeed or name its path. Every run must exit 0 or
-2, and an exit 2 must print an ``error: `` line and never ``internal error``.
+2, and an exit 2 must print an ``error: `` line and never ``internal error``;
+stdout is strict UTF-8, as a terminal's is.
 The searches are derandomized and bounded, so they guard against
 regressions rather than hunting for new bugs.
 """
 
 import contextlib
 import io
+import json
 import re
 import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import fixtures_root
@@ -69,8 +75,9 @@ def mutated_files(draw):
 
 
 def run(args) -> tuple[int, str]:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, as a UTF-8 terminal is
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in args])
     return code, err.getvalue()
 
@@ -105,6 +112,41 @@ def test_mutated_fixture_exits_zero_or_two_with_an_error_line(mutated):
             ("--format", "structured", "eval", manifest, detections),
         ):
             check_exit(args)
+
+
+MANIFEST_VALUES = [
+    "x\x00", "x\ud800", "/abs/x.txt", "../x.txt", "labels/", "labels/.", "", 5, None, ["x"],
+]
+
+
+@pytest.mark.parametrize(
+    "value",
+    MANIFEST_VALUES,
+    ids=["nul", "lone-surrogate", "absolute", "parent", "dir", "dir-dot", "empty", "int",
+         "null", "list"],
+)
+@pytest.mark.parametrize("field", ["split", "class_name", "image_id", "label_path"])
+def test_manifest_string_exits_zero_or_two_with_an_error_line(tmp_path, field, value):
+    """One string of micro's manifest made hostile: its split, its first class name,
+    or its first image's id or label path."""
+    root = tmp_path / "micro"
+    shutil.copytree(MICRO, root)
+    manifest, detections = root / "manifest.json", root / "detections"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    if field == "split":
+        doc["split"] = value
+    elif field == "class_name":
+        doc["class_names"][0] = value
+    else:
+        doc["images"][0][field] = value
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    for args in (
+        ("stats", manifest),
+        ("--format", "structured", "stats", manifest),
+        ("eval", manifest, detections),
+        ("--format", "structured", "eval", manifest, detections),
+    ):
+        check_exit(args)
 
 
 # run file -> its baseline run in comparison mode
